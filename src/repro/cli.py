@@ -16,6 +16,9 @@ Commands:
 ``chaos``
     Run seeded chaos campaigns (Poisson churn + channel faults) and
     report per-campaign stabilization verdicts.
+``traffic``
+    Drive a data-plane workload over the configured structure and
+    report delivery / delay / hotspot metrics per router.
 ``replay``
     Deterministically re-execute one replicate to a virtual instant
     and print its canonical state digest.
@@ -28,19 +31,21 @@ Commands:
     shards in place, atomically; ``store gc --older-than AGE`` expires
     whole runs idle longer than AGE (``--dry-run`` lists them).
 
-``sweep`` and ``chaos`` accept ``--store DIR`` to persist every
-replicate outcome to a durable :class:`~repro.sim.RunStore`;
-``--resume`` serves already-completed replicates from the store
-(aggregation stays byte-identical to an uninterrupted run) and
-``--retries N`` re-executes crashed replicates up to ``N`` extra
-times.  Outcomes flush to the store *as they land*, so Ctrl-C /
-SIGTERM exits with code 130 and everything already finished is served
-on the next ``--resume``.
+``sweep``, ``chaos`` and ``traffic`` share one driver and one set of
+execution flags.  ``--store DIR`` persists every replicate outcome to
+a durable :class:`~repro.sim.RunStore`; ``--resume`` serves
+already-completed replicates from the store (aggregation stays
+byte-identical to an uninterrupted run) and ``--retries N``
+re-executes crashed replicates up to ``N`` extra times.  Outcomes
+flush to the store *as they land*, so Ctrl-C / SIGTERM exits with
+code 130 and everything already finished is served on the next
+``--resume``.
 
-``sweep``, ``chaos``, and ``replay`` accept ``--shards N`` to run
-each replicate on the spatially-sharded executor — results are
-byte-identical at every shard count (``--shard-executor`` picks the
-inline or process backend and never affects results).
+The three and ``replay`` accept ``--shards N`` to run each replicate
+on the spatially-sharded executor — results are byte-identical at
+every shard count (``--shard-executor`` picks the inline or process
+backend and never affects results, the run-store key, or the
+provenance digest).
 
 Process-backed runs are *supervised* (:mod:`repro.sim.supervise`): a
 SIGKILLed, hung (``--task-deadline``), or frame-corrupting worker is
@@ -52,11 +57,13 @@ recorded in the report's ``provenance.infra`` block, never a crash.
 a run that completes under injected faults is byte-identical to the
 fault-free run.
 
-Exit codes for ``sweep`` and ``chaos``: 2 when any replicate crashed
-with a traceback, 1 when all ran but some ended unhealthy/unhealed,
-0 otherwise; 130 when interrupted by SIGINT/SIGTERM.  ``bisect``
-exits 0 when an onset was found, 1 when the predicate never became
-true by ``--t-max``.
+Exit codes for ``sweep``, ``chaos`` and ``traffic``: 2 on rejected
+input (a replicate count below 1, ``--resume`` / ``--retries``
+without ``--store``, a bad ``--infra-chaos``) or when any replicate
+crashed with a traceback, 1 when all ran but some ended
+unhealthy/unhealed/unconfigured, 0 otherwise; 130 when interrupted by
+SIGINT/SIGTERM.  ``bisect`` exits 0 when an onset was found, 1 when
+the predicate never became true by ``--t-max``.
 """
 
 from __future__ import annotations
@@ -88,40 +95,91 @@ from .sim import RngStreams
 __all__ = ["main", "build_parser"]
 
 
-def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--store`` / ``--resume`` / ``--retries`` flags."""
-    parser.add_argument(
+def _shard_parent() -> argparse.ArgumentParser:
+    """The ``--shards`` / ``--shard-executor`` flags.
+
+    ``--shards N`` runs each replicate on the spatially-sharded
+    executor; results are byte-identical at every N (but distinct from
+    the unsharded legacy trajectory, so the flag is part of the run
+    identity).  ``--shard-executor`` picks the worker backend and is
+    never part of the identity.
+    """
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(
+        "--shards",
+        type=int,
+        default=None,
+        metavar="N",
+        help="run on the sharded executor with N spatial shards "
+        "(byte-identical at every N; default: unsharded legacy path)",
+    )
+    parent.add_argument(
+        "--shard-executor",
+        choices=("inline", "process"),
+        default="inline",
+        help="sharded worker backend (default inline; never affects "
+        "results)",
+    )
+    return parent
+
+
+def _campaign_parent(
+    shards: argparse.ArgumentParser,
+) -> argparse.ArgumentParser:
+    """The flags ``sweep`` / ``chaos`` / ``traffic`` share.
+
+    The supervised-execution flags route to whichever process backend
+    the invocation uses: with ``--shards N --shard-executor process``
+    they configure the shard supervisor (``--infra-chaos`` steps =
+    epoch indices, worker = shard index); otherwise they configure the
+    sweep pool (steps = replicate indices).  Completed runs are
+    byte-identical to fault-free runs by the supervision determinism
+    contract.
+    """
+    parent = argparse.ArgumentParser(add_help=False, parents=[shards])
+    parent.add_argument("path", help="path to the scenario-shaped JSON")
+    parent.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="process-pool size; 0 runs in-process, default = cpu count",
+    )
+    parent.add_argument(
+        "--chunk-size",
+        type=int,
+        default=None,
+        help="replicates per pool task (scheduling only; never results)",
+    )
+    parent.add_argument(
+        "--base-seed",
+        type=int,
+        default=None,
+        help="master seed for replicate derivation "
+        "(default: the file's seed)",
+    )
+    parent.add_argument(
+        "--json", metavar="PATH", help="write the report as JSON"
+    )
+    parent.add_argument(
         "--store",
         metavar="DIR",
         default=None,
         help="persist replicate outcomes to a durable run store at DIR",
     )
-    parser.add_argument(
+    parent.add_argument(
         "--resume",
         action="store_true",
         help="serve already-completed replicates from --store instead of "
         "re-executing them (results stay byte-identical)",
     )
-    parser.add_argument(
+    parent.add_argument(
         "--retries",
         type=int,
         default=0,
         help="with --resume, re-execute crashed replicates up to N extra "
         "times (default 0)",
     )
-
-
-def _add_supervise_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared supervised-execution flags (``sweep`` / ``chaos``).
-
-    The flags route to whichever process backend the invocation uses:
-    with ``--shards N --shard-executor process`` they configure the
-    shard supervisor (``--infra-chaos`` steps = epoch indices, worker
-    = shard index); otherwise they configure the sweep pool
-    (steps = replicate indices).  Completed runs are byte-identical to
-    fault-free runs by the supervision determinism contract.
-    """
-    parser.add_argument(
+    parent.add_argument(
         "--infra-chaos",
         metavar="SPEC",
         default=None,
@@ -130,7 +188,7 @@ def _add_supervise_arguments(parser: argparse.ArgumentParser) -> None:
         "needs a process backend (--workers >= 1 or --shard-executor "
         "process)",
     )
-    parser.add_argument(
+    parent.add_argument(
         "--task-deadline",
         type=float,
         default=None,
@@ -138,7 +196,7 @@ def _add_supervise_arguments(parser: argparse.ArgumentParser) -> None:
         help="per-task wall-clock watchdog: a worker silent for longer is "
         "killed and its task retried (default: no hang watchdog)",
     )
-    parser.add_argument(
+    parent.add_argument(
         "--infra-retries",
         type=int,
         default=None,
@@ -146,32 +204,7 @@ def _add_supervise_arguments(parser: argparse.ArgumentParser) -> None:
         help="infra-fault retry budget per task before degrading "
         "(quarantine / inline fallback; default 2)",
     )
-
-
-def _add_shard_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--shards`` / ``--shard-executor`` flags.
-
-    ``--shards N`` runs each replicate on the spatially-sharded
-    executor; results are byte-identical at every N (but distinct from
-    the unsharded legacy trajectory, so the flag is part of the run
-    identity).  ``--shard-executor`` picks the worker backend and is
-    never part of the identity.
-    """
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run on the sharded executor with N spatial shards "
-        "(byte-identical at every N; default: unsharded legacy path)",
-    )
-    parser.add_argument(
-        "--shard-executor",
-        choices=("inline", "process"),
-        default="inline",
-        help="sharded worker backend (default inline; never affects "
-        "results)",
-    )
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,6 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--field-radius", type=float, default=400.0)
     parser.add_argument("--nodes", type=int, default=2000)
     sub = parser.add_subparsers(dest="command", required=True)
+    shards = _shard_parent()
+    campaign = _campaign_parent(shards)
 
     configure = sub.add_parser(
         "configure", help="run GS3-S self-configuration"
@@ -217,49 +252,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
+        parents=[campaign],
         help="run a scenario as a Monte Carlo sweep of seeded replicates",
     )
-    sweep.add_argument("path", help="path to the scenario JSON")
     sweep.add_argument(
         "--replicates",
         type=int,
         default=8,
         help="number of seeded replicates (default 8)",
     )
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool size; 0 runs in-process, default = cpu count",
-    )
-    sweep.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="replicates per pool task (scheduling only; never results)",
-    )
-    sweep.add_argument(
-        "--base-seed",
-        type=int,
-        default=None,
-        help="master seed for replicate derivation "
-        "(default: the scenario file's seed)",
-    )
-    sweep.add_argument(
-        "--json", metavar="PATH", help="write the aggregate report as JSON"
-    )
-    _add_store_arguments(sweep)
-    _add_shard_arguments(sweep)
-    _add_supervise_arguments(sweep)
 
     chaos = sub.add_parser(
         "chaos",
-        help="run seeded chaos campaigns and report stabilization verdicts",
-    )
-    chaos.add_argument(
-        "path",
-        help="path to the campaign JSON (scenario-shaped, with optional "
-        "'chaos' and 'channel' blocks)",
+        parents=[campaign],
+        help="run seeded chaos campaigns and report stabilization verdicts "
+        "(the file may carry 'chaos' and 'channel' blocks)",
     )
     chaos.add_argument(
         "--campaigns",
@@ -273,41 +280,14 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the healing budget (ticks after the chaos window)",
     )
-    chaos.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool size; 0 runs in-process, default = cpu count",
-    )
-    chaos.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="replicates per pool task (scheduling only; never results)",
-    )
-    chaos.add_argument(
-        "--base-seed",
-        type=int,
-        default=None,
-        help="master seed for campaign derivation "
-        "(default: the campaign file's seed)",
-    )
-    chaos.add_argument(
-        "--json", metavar="PATH", help="write verdicts + summary as JSON"
-    )
-    _add_store_arguments(chaos)
-    _add_shard_arguments(chaos)
-    _add_supervise_arguments(chaos)
 
     traffic = sub.add_parser(
         "traffic",
+        parents=[campaign],
         help="drive a data-plane workload over the configured structure "
-        "and report delivery / delay / hotspot metrics per router",
-    )
-    traffic.add_argument(
-        "path",
-        help="path to the workload JSON (scenario-shaped, with a "
-        "'traffic' block and optional 'chaos' and 'channel' blocks)",
+        "and report delivery / delay / hotspot metrics per router (the "
+        "file needs a 'traffic' block and may carry 'chaos' and "
+        "'channel' blocks)",
     )
     traffic.add_argument(
         "--replicates",
@@ -322,34 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the routers raced per replicate "
         "(default: the file's 'routers' list, else both)",
     )
-    traffic.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-pool size; 0 runs in-process, default = cpu count",
-    )
-    traffic.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="replicates per pool task (scheduling only; never results)",
-    )
-    traffic.add_argument(
-        "--base-seed",
-        type=int,
-        default=None,
-        help="master seed for replicate derivation "
-        "(default: the workload file's seed)",
-    )
-    traffic.add_argument(
-        "--json", metavar="PATH", help="write reports + summary as JSON"
-    )
-    _add_store_arguments(traffic)
-    _add_shard_arguments(traffic)
-    _add_supervise_arguments(traffic)
 
     replay = sub.add_parser(
         "replay",
+        parents=[shards],
         help="re-execute one replicate to a virtual instant and print "
         "its canonical state digest",
     )
@@ -378,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         "root_stale) on the replayed state and exit 1 if it holds — "
         "the CI wedge-heal smoke is `replay ... --check partition`",
     )
-    _add_shard_arguments(replay)
 
     store = sub.add_parser(
         "store", help="maintain a durable run store"
@@ -581,18 +536,108 @@ def cmd_scenario(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .scenario import run_scenario_replicate
+
+    return _run_campaigns(
+        args,
+        "sweep",
+        "replicates",
+        run_scenario_replicate,
+        _scenario_identity,
+        _sweep_report,
+    )
+
+
+def cmd_chaos(args) -> int:
+    from .perturb import run_chaos_replicate
+    from .sim import campaign_identity
+
+    def with_budget(data):
+        if args.budget is None:
+            return data
+        return dict(
+            data, chaos=dict(data.get("chaos", {}), heal_budget=args.budget)
+        )
+
+    return _run_campaigns(
+        args,
+        "chaos",
+        "campaigns",
+        run_chaos_replicate,
+        campaign_identity,
+        _chaos_report,
+        prepare=with_budget,
+    )
+
+
+def cmd_traffic(args) -> int:
+    from .sim import campaign_identity
+    from .traffic import run_traffic_replicate
+
+    def with_routers(data):
+        if "traffic" not in data:
+            raise ValueError("workload file has no 'traffic' block")
+        if args.router is None:
+            return data
+        routers = ["cell", "hybrid"] if args.router == "both" else [args.router]
+        return dict(data, traffic=dict(data["traffic"], routers=routers))
+
+    return _run_campaigns(
+        args,
+        "traffic",
+        "replicates",
+        run_traffic_replicate,
+        campaign_identity,
+        _traffic_report,
+        prepare=with_routers,
+    )
+
+
+def _run_campaigns(
+    args, kind, count_flag, fn, identity_of, report, prepare=None
+) -> int:
+    """The shared body of ``sweep`` / ``chaos`` / ``traffic``.
+
+    Loads the scenario-shaped JSON, folds in the shard and supervision
+    flags (and the command's own through ``prepare``), runs
+    ``args.<count_flag>`` seeded replicates of ``fn`` through
+    :func:`~repro.sim.run_campaign` with SIGTERM routed to the
+    interrupt path, then prints the supervision summary, the command's
+    table and summary lines, the cache count and every crash.
+    ``report(outcomes, base_seed, workers)`` prints the table and
+    summary and returns ``(payload, ok)``: the JSON body beside the
+    provenance block, and whether every replicate ended healthy.  The
+    run store and the provenance digest both key on
+    ``identity_of(data)``.
+    """
     import json as _json
 
-    from .scenario import Scenario, run_scenario_replicate
-    from .sim import RunStore, SweepRunner, replicate_seed, run_provenance
+    from .sim import (
+        RunStore,
+        SupervisionLog,
+        SweepRunner,
+        run_campaign,
+        run_provenance,
+    )
 
+    count = getattr(args, count_flag)
     with open(args.path, "r", encoding="utf-8") as handle:
         data = _json.load(handle)
-    data = _apply_shard_flags(data, args)
     try:
-        data, pool_kwargs = _apply_supervise_flags(
-            data, args, args.replicates
+        if count < 1:
+            raise ValueError(f"--{count_flag} must be >= 1, got {count}")
+        if args.retries < 0:
+            raise ValueError(f"--retries must be >= 0, got {args.retries}")
+        if args.store is None and (args.resume or args.retries):
+            raise ValueError("--resume and --retries need --store")
+        workers = SweepRunner(None, workers=args.workers).resolve_workers(
+            count
         )
+        data = _apply_shard_flags(data, args)
+        if prepare is not None:
+            data = prepare(data)
+        data, pool_kwargs = _apply_supervise_flags(data, args, workers)
+        identity = identity_of(data)
     except ValueError as exc:
         print(f"error: {exc}")
         return 2
@@ -601,39 +646,30 @@ def cmd_sweep(args) -> int:
         if args.base_seed is not None
         else int(data.get("seed", 0))
     )
-    # The store keys on the *parsed* scenario, so formatting or key
-    # order in the source JSON never forks the run identity (and the
-    # ``supervise`` block is never digest-relevant).
-    scenario_dict = Scenario.from_dict(data).to_dict()
-    specs = [
-        {"data": data, "seed": replicate_seed(base_seed, i)}
-        for i in range(args.replicates)
-    ]
-    runner = SweepRunner(
-        run_scenario_replicate,
-        workers=args.workers,
-        chunk_size=args.chunk_size,
-        **pool_kwargs,
-    )
+    supervision = SupervisionLog()
     restore_signals = _graceful_signals()
     try:
-        if args.store is None:
-            outcomes = runner.run(specs)
-        else:
-            store = RunStore(args.store)
-            with store.session(
-                "sweep",
-                {"data": scenario_dict, "base_seed": base_seed},
-                retries=args.retries,
-                resume=args.resume,
-            ) as session:
-                outcomes = runner.run(specs, resume=session)
+        outcomes = run_campaign(
+            fn,
+            kind,
+            data,
+            count,
+            identity,
+            base_seed=base_seed,
+            workers=args.workers,
+            chunk_size=args.chunk_size,
+            store=None if args.store is None else RunStore(args.store),
+            resume=args.resume,
+            retries=args.retries,
+            supervision_log=supervision,
+            **pool_kwargs,
+        )
     except KeyboardInterrupt:
         # Completed replicates were recorded as they landed; say so and
         # exit with the conventional interrupted-by-signal code.
         if args.store is not None:
             print(
-                f"\ninterrupted: completed replicates are flushed to "
+                f"\ninterrupted: completed {count_flag} are flushed to "
                 f"{args.store}; rerun with --store {args.store} --resume "
                 f"to serve them"
             )
@@ -642,9 +678,57 @@ def cmd_sweep(args) -> int:
         return 130
     finally:
         restore_signals()
-    supervision = runner.last_supervision.summary()
-    if supervision:
-        print(supervision)
+    infra_note = supervision.summary()
+    if infra_note:
+        print(infra_note)
+    payload, ok = report(outcomes, base_seed, workers)
+    if args.store is not None:
+        cached = sum(1 for o in outcomes if o.cached)
+        print(f"cached: {cached}/{len(outcomes)} served from {args.store}")
+    crashed = [o for o in outcomes if not o.ok]
+    for outcome in crashed:
+        print(f"\n{count_flag[:-1]} {outcome.index} crashed:\n{outcome.error}")
+    if args.json:
+        payload["provenance"] = run_provenance(
+            kind,
+            identity,
+            base_seed=base_seed,
+            replicates=count,
+            workers=workers,
+            infra=_infra_provenance(outcomes),
+        )
+        with open(args.json, "w", encoding="utf-8") as handle:
+            _json.dump(payload, handle, indent=2, sort_keys=True)
+        print(f"\nJSON written to {args.json}")
+    if crashed:
+        return 2
+    return 0 if ok else 1
+
+
+def _scenario_identity(data):
+    """A sweep's run identity: the *parsed* scenario.
+
+    Formatting or key order in the source JSON never forks it, and
+    ``Scenario.to_dict`` never emits the execution-policy keys.
+    """
+    from .scenario import Scenario
+
+    return Scenario.from_dict(data).to_dict()
+
+
+def _wall(outcome) -> str:
+    """A table's ``wall`` cell: seconds spent, or ``cached``."""
+    return "cached" if outcome.cached else f"{outcome.elapsed:.1f}s"
+
+
+def _results(outcomes) -> list:
+    """Per-replicate JSON payloads in replicate order."""
+    return [o.result if o.ok else {"error": o.error} for o in outcomes]
+
+
+def _sweep_report(outcomes, base_seed, workers):
+    from .sim import replicate_seed
+
     rows = []
     for outcome in outcomes:
         if outcome.ok:
@@ -657,14 +741,13 @@ def cmd_sweep(args) -> int:
                     f"{result['configured_at']:.0f}",
                     len(result["perturbation_log"]),
                     result["final_cells"],
-                    "cached" if outcome.cached else f"{outcome.elapsed:.1f}s",
+                    _wall(outcome),
                 ]
             )
         else:
             rows.append(
-                [outcome.index, specs[outcome.index]["seed"], "CRASHED",
-                 "-", "-", "-",
-                 "cached" if outcome.cached else f"{outcome.elapsed:.1f}s"]
+                [outcome.index, replicate_seed(base_seed, outcome.index),
+                 "CRASHED", "-", "-", "-", _wall(outcome)]
             )
     print(
         ascii_table(
@@ -678,137 +761,48 @@ def cmd_sweep(args) -> int:
                 "wall",
             ],
             rows,
-            title=(
-                f"Sweep: {args.replicates} replicates, "
-                f"workers={runner.resolve_workers(len(specs))}"
-            ),
+            title=f"Sweep: {len(outcomes)} replicates, workers={workers}",
         )
     )
-    healthy = [
-        o.result
-        for o in outcomes
-        if o.ok and not o.result["final_violations"]
-    ]
-    crashed = [o for o in outcomes if not o.ok]
-    cached = sum(1 for o in outcomes if o.cached)
-    print(
-        f"\n{len(healthy)}/{len(outcomes)} healthy, "
-        f"{len(crashed)} crashed"
+    healthy = sum(
+        1 for o in outcomes if o.ok and not o.result["final_violations"]
     )
-    if args.store is not None:
-        print(f"cached: {cached}/{len(outcomes)} served from {args.store}")
-    for outcome in crashed:
-        print(f"\nreplicate {outcome.index} failed:\n{outcome.error}")
-    if args.json:
-        report = {
-            "provenance": run_provenance(
-                "sweep",
-                scenario_dict,
-                base_seed=base_seed,
-                replicates=args.replicates,
-                workers=runner.resolve_workers(len(specs)),
-                infra=_infra_provenance(outcomes),
-            ),
-            "base_seed": base_seed,
-            "replicates": [
-                o.result if o.ok else {"error": o.error} for o in outcomes
-            ],
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"\nJSON written to {args.json}")
-    # Exit-code contract (shared with ``chaos``): 2 = at least one
-    # replicate crashed with a traceback, 1 = ran but unhealthy, 0 = ok.
-    if crashed:
-        return 2
-    return 0 if len(healthy) == len(outcomes) else 1
+    crashed = sum(1 for o in outcomes if not o.ok)
+    print(f"\n{healthy}/{len(outcomes)} healthy, {crashed} crashed")
+    payload = {"base_seed": base_seed, "replicates": _results(outcomes)}
+    return payload, healthy == len(outcomes)
 
 
-def cmd_chaos(args) -> int:
-    import json as _json
+def _chaos_report(outcomes, base_seed, workers):
+    from .perturb import summarize_verdicts
 
-    from .perturb import run_chaos_campaigns, summarize_verdicts
-    from .sim import RunStore, SweepRunner, run_provenance
-
-    with open(args.path, "r", encoding="utf-8") as handle:
-        data = _json.load(handle)
-    data = _apply_shard_flags(data, args)
-    if args.budget is not None:
-        data = dict(data)
-        data["chaos"] = dict(data.get("chaos", {}))
-        data["chaos"]["heal_budget"] = args.budget
-    try:
-        data, pool_kwargs = _apply_supervise_flags(
-            data, args, args.campaigns
-        )
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
-    base_seed = (
-        args.base_seed
-        if args.base_seed is not None
-        else int(data.get("seed", 0))
-    )
-    from .sim import SupervisionLog
-
-    supervision_log = SupervisionLog()
-    restore_signals = _graceful_signals()
-    try:
-        outcomes = run_chaos_campaigns(
-            data,
-            campaigns=args.campaigns,
-            base_seed=base_seed,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            store=None if args.store is None else RunStore(args.store),
-            resume=args.resume,
-            retries=args.retries,
-            supervision_log=supervision_log,
-            **pool_kwargs,
-        )
-    except KeyboardInterrupt:
-        if args.store is not None:
-            print(
-                f"\ninterrupted: completed campaigns are flushed to "
-                f"{args.store}; rerun with --store {args.store} --resume "
-                f"to serve them"
-            )
-        else:
-            print("\ninterrupted (no --store: partial work discarded)")
-        return 130
-    finally:
-        restore_signals()
-    supervision = supervision_log.summary()
-    if supervision:
-        print(supervision)
     rows = []
     for outcome in outcomes:
-        if outcome.ok:
-            v = outcome.result
-            heal = (
-                f"{v['healing_time']:.0f}"
-                if v["healing_time"] is not None
-                else "-"
-            )
-            status = "healed" if v["healed"] else (
-                "TIMEOUT" if v["timed_out"] else "BROKEN"
-            )
+        if not outcome.ok:
             rows.append(
-                [
-                    outcome.index,
-                    status,
-                    heal,
-                    v["cells_disturbed"],
-                    v["events_injected"],
-                    len(v["violations"]),
-                    "cached" if outcome.cached else f"{outcome.elapsed:.1f}s",
-                ]
+                [outcome.index, "CRASHED", "-", "-", "-", "-", _wall(outcome)]
             )
-        else:
-            rows.append(
-                [outcome.index, "CRASHED", "-", "-", "-", "-",
-                 "cached" if outcome.cached else f"{outcome.elapsed:.1f}s"]
-            )
+            continue
+        v = outcome.result
+        heal = (
+            f"{v['healing_time']:.0f}"
+            if v["healing_time"] is not None
+            else "-"
+        )
+        status = "healed" if v["healed"] else (
+            "TIMEOUT" if v["timed_out"] else "BROKEN"
+        )
+        rows.append(
+            [
+                outcome.index,
+                status,
+                heal,
+                v["cells_disturbed"],
+                v["events_injected"],
+                len(v["violations"]),
+                _wall(outcome),
+            ]
+        )
     print(
         ascii_table(
             [
@@ -821,129 +815,42 @@ def cmd_chaos(args) -> int:
                 "wall",
             ],
             rows,
-            title=f"Chaos: {args.campaigns} campaigns",
+            title=f"Chaos: {len(outcomes)} campaigns",
         )
     )
     summary = summarize_verdicts(outcomes)
-    times = summary["healing_time"]
     print(
         f"\n{summary['healed']}/{summary['campaigns']} healed "
         f"({summary['healed_fraction']:.0%}), "
         f"{summary['timed_out']} timed out, "
         f"{summary['crashed']} crashed"
     )
-    if args.store is not None:
-        cached = sum(1 for o in outcomes if o.cached)
-        print(f"cached: {cached}/{len(outcomes)} served from {args.store}")
+    times = summary["healing_time"]
     if times is not None:
         print(
             f"healing time p50={times['p50']:.0f} "
             f"p90={times['p90']:.0f} max={times['max']:.0f} ticks"
         )
-    for outcome in outcomes:
-        if not outcome.ok:
-            print(f"\ncampaign {outcome.index} crashed:\n{outcome.error}")
-    if args.json:
-        report = {
-            "provenance": run_provenance(
-                "chaos",
-                {k: v for k, v in data.items() if k != "supervise"},
-                base_seed=base_seed,
-                replicates=args.campaigns,
-                workers=SweepRunner(
-                    None, workers=args.workers
-                ).resolve_workers(args.campaigns),
-                infra=_infra_provenance(outcomes),
-            ),
-            "summary": summary,
-            "verdicts": [
-                o.result if o.ok else {"error": o.error} for o in outcomes
-            ],
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"\nJSON written to {args.json}")
-    if summary["crashed"]:
-        return 2
-    return 0 if summary["healed"] == summary["campaigns"] else 1
+    payload = {"summary": summary, "verdicts": _results(outcomes)}
+    return payload, summary["healed"] == summary["campaigns"]
 
 
-def cmd_traffic(args) -> int:
-    import json as _json
+def _traffic_report(outcomes, base_seed, workers):
+    from .traffic import summarize_traffic
 
-    from .sim import RunStore, SupervisionLog, SweepRunner, run_provenance
-    from .traffic import run_traffic_campaigns, summarize_traffic
-
-    with open(args.path, "r", encoding="utf-8") as handle:
-        data = _json.load(handle)
-    if "traffic" not in data:
-        print("error: workload file has no 'traffic' block")
-        return 2
-    data = _apply_shard_flags(data, args)
-    if args.router is not None:
-        data = dict(data)
-        data["traffic"] = dict(data["traffic"])
-        data["traffic"]["routers"] = (
-            ["cell", "hybrid"] if args.router == "both" else [args.router]
-        )
-    try:
-        data, pool_kwargs = _apply_supervise_flags(
-            data, args, args.replicates
-        )
-    except ValueError as exc:
-        print(f"error: {exc}")
-        return 2
-    base_seed = (
-        args.base_seed
-        if args.base_seed is not None
-        else int(data.get("seed", 0))
-    )
-    supervision_log = SupervisionLog()
-    restore_signals = _graceful_signals()
-    try:
-        outcomes = run_traffic_campaigns(
-            data,
-            replicates=args.replicates,
-            base_seed=base_seed,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-            store=None if args.store is None else RunStore(args.store),
-            resume=args.resume,
-            retries=args.retries,
-            supervision_log=supervision_log,
-            **pool_kwargs,
-        )
-    except KeyboardInterrupt:
-        if args.store is not None:
-            print(
-                f"\ninterrupted: completed replicates are flushed to "
-                f"{args.store}; rerun with --store {args.store} --resume "
-                f"to serve them"
-            )
-        else:
-            print("\ninterrupted (no --store: partial work discarded)")
-        return 130
-    finally:
-        restore_signals()
-    supervision = supervision_log.summary()
-    if supervision:
-        print(supervision)
     rows = []
     for outcome in outcomes:
         if not outcome.ok:
             rows.append(
                 [outcome.index, "-", "CRASHED", "-", "-", "-", "-", "-",
-                 "cached" if outcome.cached else f"{outcome.elapsed:.1f}s"]
+                 _wall(outcome)]
             )
             continue
-        result = outcome.result
-        for router, report in sorted(result["routers"].items()):
+        for router, report in sorted(outcome.result["routers"].items()):
             if "error" in report:
                 rows.append(
                     [outcome.index, router, "UNCONFIGURED",
-                     "-", "-", "-", "-", "-",
-                     "cached" if outcome.cached
-                     else f"{outcome.elapsed:.1f}s"]
+                     "-", "-", "-", "-", "-", _wall(outcome)]
                 )
                 continue
             delay = report["delay"]
@@ -957,7 +864,7 @@ def cmd_traffic(args) -> int:
                     f"{delay['p99']:.1f}",
                     f"{report['stretch']['p50']:.2f}",
                     report["relay"]["max_load"],
-                    "cached" if outcome.cached else f"{outcome.elapsed:.1f}s",
+                    _wall(outcome),
                 ]
             )
     print(
@@ -974,7 +881,7 @@ def cmd_traffic(args) -> int:
                 "wall",
             ],
             rows,
-            title=f"Traffic: {args.replicates} replicates",
+            title=f"Traffic: {len(outcomes)} replicates",
         )
     )
     summary = summarize_traffic(outcomes)
@@ -989,48 +896,21 @@ def cmd_traffic(args) -> int:
         )
     if summary["crashed"]:
         print(f"\n{summary['crashed']} replicate(s) crashed")
-    if args.store is not None:
-        cached = sum(1 for o in outcomes if o.cached)
-        print(f"cached: {cached}/{len(outcomes)} served from {args.store}")
-    for outcome in outcomes:
-        if not outcome.ok:
-            print(f"\nreplicate {outcome.index} crashed:\n{outcome.error}")
-    if args.json:
-        report = {
-            "provenance": run_provenance(
-                "traffic",
-                {k: v for k, v in data.items() if k != "supervise"},
-                base_seed=base_seed,
-                replicates=args.replicates,
-                workers=SweepRunner(
-                    None, workers=args.workers
-                ).resolve_workers(args.replicates),
-                infra=_infra_provenance(outcomes),
-            ),
-            "summary": summary,
-            "replicates": [
-                o.result if o.ok else {"error": o.error} for o in outcomes
-            ],
-        }
-        with open(args.json, "w", encoding="utf-8") as handle:
-            _json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"\nJSON written to {args.json}")
-    if summary["crashed"]:
-        return 2
     unconfigured = sum(
         agg["unconfigured"] for agg in summary["routers"].values()
     )
-    return 1 if unconfigured else 0
+    payload = {"summary": summary, "replicates": _results(outcomes)}
+    return payload, not unconfigured
 
 
 def _apply_shard_flags(data, args):
     """Fold ``--shards`` / ``--shard-executor`` into a scenario dict.
 
     ``shards`` joins the run identity (it is digest-relevant); the
-    executor flavour rides along for this invocation only and is never
-    emitted back by ``Scenario.to_dict``.
+    executor flavour rides along for this invocation only and never
+    joins the identity.
     """
-    if getattr(args, "shards", None) is None:
+    if args.shards is None:
         return data
     data = dict(data)
     data["shards"] = args.shards
@@ -1038,28 +918,27 @@ def _apply_shard_flags(data, args):
     return data
 
 
-def _apply_supervise_flags(data, args, replicates: int):
+def _apply_supervise_flags(data, args, pool_workers: int):
     """Route the supervised-execution flags to the right process layer.
 
     Returns ``(data, pool_kwargs)``: with ``--shards N
     --shard-executor process`` the knobs fold into the scenario dict's
     ``supervise`` block (shard supervisor; never digest-relevant),
     otherwise they become :class:`~repro.sim.SweepRunner` keyword
-    arguments for the supervised pool.  Raises ``ValueError`` for a bad
-    ``--infra-chaos`` spec or when fault injection has no process
-    backend to inject into.
+    arguments for the supervised pool of ``pool_workers`` processes.
+    Raises ``ValueError`` for a bad ``--infra-chaos`` spec or when
+    fault injection has no process backend to inject into.
     """
-    from .sim import InfraChaosConfig, RetryPolicy, SweepRunner
+    from .sim import InfraChaosConfig, RetryPolicy
 
-    chaos_spec = getattr(args, "infra_chaos", None)
-    deadline = getattr(args, "task_deadline", None)
-    retries = getattr(args, "infra_retries", None)
+    chaos_spec = args.infra_chaos
+    deadline = args.task_deadline
+    retries = args.infra_retries
     if chaos_spec is None and deadline is None and retries is None:
         return data, {}
     chaos = InfraChaosConfig.parse(chaos_spec) if chaos_spec else None
     sharded_process = (
-        getattr(args, "shards", None) is not None
-        and getattr(args, "shard_executor", "inline") == "process"
+        args.shards is not None and args.shard_executor == "process"
     )
     if sharded_process:
         supervise = {}
@@ -1072,9 +951,6 @@ def _apply_supervise_flags(data, args, replicates: int):
         data = dict(data)
         data["supervise"] = supervise
         return data, {}
-    pool_workers = SweepRunner(None, workers=args.workers).resolve_workers(
-        max(1, replicates)
-    )
     if pool_workers == 0:
         if chaos is not None:
             raise ValueError(

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..geometry import Disk, Vec2
-from ..sim import RngStreams, SweepRunner, replicate_seed
-from ..sim.metrics import percentile as sim_percentile
+from ..sim import RngStreams, campaign_identity, percentile, run_campaign
 from ..sim.parallel import ReplicateOutcome
 from .events import PerturbationEvent, RegionJam
 from .injector import PerturbationInjector
@@ -344,7 +343,7 @@ def _run_chaos_verdict(
 
     With a ``traffic`` block, a data-plane workload is generated over
     the chaos window and forwarded hop-by-hop while the structure is
-    being damaged; its :func:`~repro.traffic.build_traffic_report`
+    being damaged; its :func:`~repro.traffic.fold_traffic_report`
     joins the verdict under ``"traffic"`` (single router: the first of
     the block's ``routers``).
     """
@@ -423,75 +422,24 @@ def _run_chaos_verdict(
 
 
 def run_chaos_campaigns(
-    data: Dict[str, Any],
-    campaigns: int,
-    base_seed: Optional[int] = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    store=None,
-    resume: bool = False,
-    retries: int = 0,
-    deadline: Optional[float] = None,
-    retry_policy=None,
-    infra_chaos=None,
-    supervision_log=None,
+    data: Dict[str, Any], campaigns: int, **kwargs: Any
 ) -> List[ReplicateOutcome]:
     """Fan a campaign description across ``campaigns`` derived seeds.
 
-    Seeds derive from ``base_seed`` (default: the description's
-    ``seed`` entry) with the sweep-standard SHA-256 scheme, and the
-    outcomes come back index-ordered and byte-identical for any
-    ``workers`` / ``chunk_size`` — :class:`~repro.sim.SweepRunner`'s
-    contract.
-
-    With a :class:`~repro.sim.RunStore` in ``store``, every verdict is
-    persisted as it lands; ``resume=True`` serves previously completed
-    replicates from the store (``cached=True`` outcomes, byte-identical
-    payloads) and re-executes crashed ones up to ``retries`` extra
-    times.  The run's identity key is the campaign description's
-    canonical digest together with ``base`` — a changed description or
-    base seed never collides with old records.
-
-    ``deadline`` / ``retry_policy`` / ``infra_chaos`` configure the
-    supervised pool (see :mod:`repro.sim.supervise`); a caller-supplied
-    ``supervision_log`` absorbs the run's supervision counters even if
-    the sweep is interrupted.
+    :func:`~repro.sim.run_campaign` over :func:`run_chaos_replicate`,
+    stored under the description's
+    :func:`~repro.sim.campaign_identity`; keyword arguments
+    (``base_seed``, ``workers``, ``store``, ``resume``, ``retries``,
+    pool supervision, ``supervision_log``) pass through.
     """
-    base = base_seed if base_seed is not None else int(data.get("seed", 0))
-    specs = [
-        {"data": data, "seed": replicate_seed(base, i)}
-        for i in range(campaigns)
-    ]
-    runner = SweepRunner(
+    return run_campaign(
         run_chaos_replicate,
-        workers=workers,
-        chunk_size=chunk_size,
-        deadline=deadline,
-        retry_policy=retry_policy,
-        infra_chaos=infra_chaos,
+        "chaos",
+        data,
+        campaigns,
+        campaign_identity(data),
+        **kwargs,
     )
-    # The ``supervise`` block never joins the run identity: a
-    # supervised campaign's payload is byte-identical to an
-    # unsupervised one, so both resolve to the same stored run.
-    key_data = {k: v for k, v in data.items() if k != "supervise"}
-    try:
-        if store is None:
-            return runner.run(specs)
-        with store.session(
-            "chaos",
-            {"data": key_data, "base_seed": base},
-            retries=retries,
-            resume=resume,
-        ) as session:
-            return runner.run(specs, resume=session)
-    finally:
-        if supervision_log is not None:
-            supervision_log.absorb(runner.last_supervision)
-
-
-# Verdict summaries share the repo-wide nearest-rank convention; the
-# single validated implementation lives in ``repro.sim.metrics``.
-_percentile = sim_percentile
 
 
 def summarize_verdicts(
@@ -523,8 +471,8 @@ def summarize_verdicts(
     }
     summary["healing_time"] = (
         {
-            "p50": _percentile(times, 0.50),
-            "p90": _percentile(times, 0.90),
+            "p50": percentile(times, 0.50),
+            "p90": percentile(times, 0.90),
             "max": times[-1],
         }
         if times

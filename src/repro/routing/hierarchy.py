@@ -10,30 +10,34 @@ maintains** at each node —
 * a head knows its neighbouring heads (positions and ILs), its parent,
   and its own associates (positions).
 
-A packet from ``src`` to ``dst``:
+``route()`` walks a packet hop by hop with the data plane's own
+per-hop decider, :class:`~repro.routing.hybrid.CellRouter`:
 
-1. ``src`` hands the packet to its cell head (one hop);
-2. each head forwards greedily to the neighbouring head whose IL is
-   closest to the destination's position; when greedy progress stalls
-   (a structural hole), the packet escalates to the parent — the
-   hierarchy guarantees eventual progress because the root's subtree
-   spans every cell;
-3. the head whose cell contains the destination delivers it (one hop).
+1. a node within radio reach of the destination hands the packet over
+   directly; otherwise an associate passes it to its cell head;
+2. each head delivers to its own associate, or forwards greedily to
+   the neighbouring head whose IL is closest to the destination; when
+   greedy progress stalls (a structural hole), the packet escalates to
+   the parent, else to the best unvisited neighbour — the hierarchy
+   guarantees eventual progress because the root's subtree spans every
+   cell;
+3. a node with no usable next hop fails the route: the data plane
+   would hold the packet while the structure heals, but an offline
+   walk over a quiescent runtime has nothing to wait for.
 
 No global state, no routing tables beyond GS3's own neighbourhood
-knowledge.  ``route()`` computes the path against a protocol runtime
-and reports hop-by-hop metadata so benchmarks can measure stretch.
+knowledge.  ``route()`` reports hop-by-hop metadata so benchmarks can
+measure stretch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.runtime import Gs3Runtime
-from ..core.state import NodeStatus
-from ..geometry import Vec2
 from ..net import NodeId
+from .hybrid import WAIT, CellRouter
 
 __all__ = ["Route", "HierarchicalRouter"]
 
@@ -75,141 +79,51 @@ class Route:
 
 
 class HierarchicalRouter:
-    """Routes packets over a configured GS3 structure."""
+    """Routes packets over a configured GS3 structure.
+
+    A route takes at most ``max_hops`` radio hops.
+    """
 
     def __init__(self, runtime: Gs3Runtime, max_hops: int = 200):
         self.runtime = runtime
         self.max_hops = max_hops
-
-    # -- local views ----------------------------------------------------
-
-    def _node(self, node_id: NodeId):
-        return self.runtime.nodes.get(node_id)
-
-    def _head_of(self, node_id: NodeId) -> Optional[NodeId]:
-        """The cell head serving ``node_id`` (itself if it is a head)."""
-        node = self._node(node_id)
-        if node is None or not node.alive:
-            return None
-        state = node.state
-        if state.status.is_head_like:
-            return node_id
-        if state.status is NodeStatus.ASSOCIATE:
-            return state.head_id
-        return None
-
-    def _neighbor_heads(self, head_id: NodeId) -> List[Tuple[NodeId, Vec2]]:
-        """(id, IL) of the heads adjacent to ``head_id`` — exactly what
-        HEAD_INTER_CELL maintains."""
-        node = self._node(head_id)
-        if node is None:
-            return []
-        results = []
-        for info in node.state.neighbor_heads.values():
-            results.append((info.node_id, info.il))
-        return results
-
-    def _serves(self, head_id: NodeId, node_id: NodeId) -> bool:
-        """Whether ``node_id`` is in ``head_id``'s cell (local check)."""
-        head = self._node(head_id)
-        if head is None:
-            return False
-        if node_id == head_id:
-            return True
-        if node_id in head.state.associate_positions:
-            return True
-        target = self._node(node_id)
-        return (
-            target is not None
-            and target.state.status is NodeStatus.ASSOCIATE
-            and target.state.head_id == head_id
-        )
-
-    # -- routing ---------------------------------------------------------
+        self._decider = CellRouter(runtime)
 
     def route(self, source: NodeId, destination: NodeId) -> Route:
-        """Compute the hierarchical route from ``source`` to
-        ``destination`` using only node-local state."""
+        """Walk a packet from ``source`` to ``destination``, one
+        :meth:`CellRouter.decide` per hop."""
         if source == destination:
             return Route(source, destination, (source,), True)
-        dst_node = self._node(destination)
-        if dst_node is None or not dst_node.alive:
+        dst = self.runtime.nodes.get(destination)
+        if dst is None or not dst.alive:
             return Route(
                 source, destination, (source,), False, "destination dead"
             )
-        target_position = dst_node.position
-        src_head = self._head_of(source)
-        if src_head is None:
-            return Route(
-                source, destination, (source,), False, "source has no cell"
-            )
+        src = self.runtime.nodes.get(source)
+        if src is None or not src.alive:
+            return Route(source, destination, (source,), False, "source dead")
         path: List[NodeId] = [source]
-        if src_head != source:
-            path.append(src_head)
-        current = src_head
-        visited: Set[NodeId] = {current}
-        while len(path) < self.max_hops:
-            if self._serves(current, destination):
-                if destination != current:
-                    path.append(destination)
-                return Route(source, destination, tuple(path), True)
-            hop = self._next_hop(current, target_position, visited)
-            if hop is None:
+        visited = {source}
+        while len(path) <= self.max_hops:
+            current = path[-1]
+            action, hop = self._decider.decide(
+                current, destination, dst.position, visited
+            )
+            if action == WAIT:
                 return Route(
                     source,
                     destination,
                     tuple(path),
                     False,
-                    f"stuck at head {current}",
+                    f"stuck at node {current}",
                 )
             path.append(hop)
+            if hop == destination:
+                return Route(source, destination, tuple(path), True)
             visited.add(hop)
-            current = hop
         return Route(
             source, destination, tuple(path), False, "hop limit exceeded"
         )
-
-    def _next_hop(
-        self,
-        head_id: NodeId,
-        target: Vec2,
-        visited: Set[NodeId],
-    ) -> Optional[NodeId]:
-        """Greedy-with-parent-fallback next head."""
-        head = self._node(head_id)
-        if head is None:
-            return None
-        own_il = head.state.current_il
-        own_distance = (
-            own_il.distance_to(target) if own_il is not None else float("inf")
-        )
-        best: Optional[Tuple[float, NodeId]] = None
-        for neighbor_id, il in self._neighbor_heads(head_id):
-            if neighbor_id in visited:
-                continue
-            neighbor = self._node(neighbor_id)
-            if neighbor is None or not neighbor.alive:
-                continue
-            distance = il.distance_to(target)
-            if best is None or (distance, neighbor_id) < best:
-                best = (distance, neighbor_id)
-        if best is not None and best[0] < own_distance - 1e-9:
-            return best[1]
-        # Greedy is stuck: escalate to the parent (hierarchy fallback).
-        parent = head.state.parent_id
-        if (
-            parent is not None
-            and parent != head_id
-            and parent not in visited
-        ):
-            parent_node = self._node(parent)
-            if parent_node is not None and parent_node.alive:
-                return parent
-        # Last resort: the best unvisited neighbour even without
-        # progress (perimeter step).
-        return best[1] if best is not None else None
-
-    # -- bulk evaluation -------------------------------------------------------
 
     def evaluate(
         self, pairs: List[Tuple[NodeId, NodeId]]

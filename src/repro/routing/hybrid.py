@@ -1,12 +1,11 @@
 """Per-hop data-plane routers over the GS3 structure.
 
-:class:`~repro.routing.hierarchy.HierarchicalRouter` computes whole
-paths offline against a quiescent runtime.  The traffic engine
-(:mod:`repro.traffic`) instead needs *single-hop decisions* made at the
-node currently holding a packet, using only knowledge that node
-actually has — because by the time the packet arrives, the structure
-may have healed, heads may have died, and the original path may no
-longer exist.
+The traffic engine (:mod:`repro.traffic`) needs *single-hop decisions*
+made at the node currently holding a packet, using only knowledge that
+node actually has — because by the time the packet arrives, the
+structure may have healed, heads may have died, and the original path
+may no longer exist.  :class:`~repro.routing.hierarchy.HierarchicalRouter`
+walks the same decisions offline against a quiescent runtime.
 
 Two deciders share one interface, ``decide(node_id, dst, dst_pos,
 visited) -> (action, next_hop)``:
@@ -14,8 +13,8 @@ visited) -> (action, next_hop)``:
 * :class:`CellRouter` — the paper's cell-by-cell geographic routing:
   associate → head, then greedy over neighbouring heads' ILs (ties
   broken by ``(distance, node_id)``), parent escalation when greedy
-  stalls, perimeter fallback.  The data-plane twin of
-  ``HierarchicalRouter.route()``.
+  stalls, perimeter fallback.  ``HierarchicalRouter.route()`` walks
+  it hop by hop.
 * :class:`HybridRouter` — mesh-first, tree-fallback (the EE662 idiom):
   deliver directly when the destination is within radio reach, else
   greedy by *actual position* over the neighbour tables GS3 already

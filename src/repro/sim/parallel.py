@@ -39,7 +39,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass, replace
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .rng import RngStreams, derive_seed
 from .supervise import (
@@ -54,8 +54,10 @@ __all__ = [
     "ReplicateOutcome",
     "SweepError",
     "SweepRunner",
+    "campaign_identity",
     "replicate_seed",
     "replicate_streams",
+    "run_campaign",
     "run_sweep",
     "sweep_results",
 ]
@@ -262,6 +264,81 @@ def run_sweep(
 ) -> List[ReplicateOutcome]:
     """One-shot :class:`SweepRunner` convenience wrapper."""
     return SweepRunner(fn, workers=workers, chunk_size=chunk_size).run(specs)
+
+
+def campaign_identity(data: Dict[str, Any]) -> Dict[str, Any]:
+    """A campaign description minus its execution policy.
+
+    ``supervise`` and ``shard_executor`` choose how replicates execute,
+    never what they compute — payloads are byte-identical under every
+    choice — so neither may fork the run-store key or the provenance
+    digest.  ``shards`` stays: it selects the lane-keyed trajectory.
+    """
+    return {
+        k: v
+        for k, v in data.items()
+        if k not in ("supervise", "shard_executor")
+    }
+
+
+def run_campaign(
+    fn: Callable[[Any], Any],
+    kind: str,
+    data: Dict[str, Any],
+    replicates: int,
+    identity: Dict[str, Any],
+    base_seed: Optional[int] = None,
+    workers: Optional[int] = None,
+    chunk_size: Optional[int] = None,
+    store: Optional[Any] = None,
+    resume: bool = False,
+    retries: int = 0,
+    supervision_log: Optional[SupervisionLog] = None,
+    **pool_kwargs: Any,
+) -> List[ReplicateOutcome]:
+    """Fan one description across ``replicates`` derived seeds.
+
+    Replicate ``i`` runs ``fn({"data": data, "seed": s_i})`` with
+    ``s_i = replicate_seed(base, i)`` and ``base`` defaulting to the
+    description's ``seed`` entry; outcomes come back index-ordered and
+    byte-identical for any ``workers`` / ``chunk_size``
+    (:class:`SweepRunner`'s contract).
+
+    With a :class:`~repro.sim.RunStore` in ``store``, every outcome is
+    persisted as it lands, in the run keyed by ``kind`` plus
+    ``{"data": identity, "base_seed": base}``; ``resume=True`` serves
+    previously completed replicates from the store (``cached=True``,
+    byte-identical payloads) and re-executes crashed ones up to
+    ``retries`` extra times.  ``identity`` is the caller's canonical
+    form of ``data`` — what the run computes, without how it executes
+    (see :func:`campaign_identity`).
+
+    ``pool_kwargs`` (``deadline`` / ``retry_policy`` / ``infra_chaos``)
+    configure the supervised pool; a caller-supplied
+    ``supervision_log`` absorbs the run's supervision counters even if
+    the run is interrupted.
+    """
+    base = base_seed if base_seed is not None else int(data.get("seed", 0))
+    specs = [
+        {"data": data, "seed": replicate_seed(base, i)}
+        for i in range(replicates)
+    ]
+    runner = SweepRunner(
+        fn, workers=workers, chunk_size=chunk_size, **pool_kwargs
+    )
+    try:
+        if store is None:
+            return runner.run(specs)
+        with store.session(
+            kind,
+            {"data": identity, "base_seed": base},
+            retries=retries,
+            resume=resume,
+        ) as session:
+            return runner.run(specs, resume=session)
+    finally:
+        if supervision_log is not None:
+            supervision_log.absorb(runner.last_supervision)
 
 
 def sweep_results(outcomes: Sequence[ReplicateOutcome]) -> List[Any]:

@@ -18,7 +18,6 @@ from .packets import DataFrame, Packet, TERMINAL_OUTCOMES
 from .plane import ForwardingPlane, InFlightTable
 from .report import (
     TrafficFold,
-    build_traffic_report,
     fold_traffic_report,
     percentile,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "TERMINAL_OUTCOMES",
     "TrafficConfig",
     "TrafficFold",
-    "build_traffic_report",
     "fold_traffic_report",
     "generate_workload",
     "percentile",

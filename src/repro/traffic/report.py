@@ -26,7 +26,6 @@ from .packets import TERMINAL_OUTCOMES, Packet
 
 __all__ = [
     "TrafficFold",
-    "build_traffic_report",
     "fold_traffic_report",
     "percentile",
 ]
@@ -193,28 +192,3 @@ def fold_traffic_report(
         fold.add_terminal(pid, outcome, time)
     return fold.finish(relay_load)
 
-
-def build_traffic_report(
-    packets: Sequence[Packet],
-    records: Mapping[int, Tuple[str, float, Tuple[NodeId, ...]]],
-    relay_load: Mapping[NodeId, int],
-    network,
-) -> Dict[str, object]:
-    """Compatibility shim for legacy ``(outcome, time, path)`` records.
-
-    Node-id paths carry no positions, so this shim reads them from
-    ``network`` at call time — acceptable only for mobility-free runs
-    (the live pipeline captures positions when hops are logged).
-    """
-    fold = TrafficFold(packets)
-    for pid in sorted(records):
-        outcome, time, path = records[pid]
-        for hop, node in enumerate(path):
-            if network.has_node(node):
-                position = network.node(node).position
-                x, y = position.x, position.y
-            else:
-                x = y = 0.0
-            fold.add_hop(pid, hop, node, x, y)
-        fold.add_terminal(pid, outcome, time)
-    return fold.finish(relay_load)

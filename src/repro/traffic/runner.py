@@ -35,7 +35,7 @@ from ..perturb.chaos import (
     ChaosConfig,
     build_campaign_simulation,
 )
-from ..sim import RngStreams, SweepRunner, replicate_seed
+from ..sim import RngStreams, campaign_identity, run_campaign
 from ..sim.parallel import ReplicateOutcome
 from .generators import TrafficConfig, generate_workload
 from .packets import Packet
@@ -283,61 +283,23 @@ def _run_router(
 
 
 def run_traffic_campaigns(
-    data: Dict[str, Any],
-    replicates: int,
-    base_seed: Optional[int] = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    store=None,
-    resume: bool = False,
-    retries: int = 0,
-    deadline: Optional[float] = None,
-    retry_policy=None,
-    infra_chaos=None,
-    supervision_log=None,
-    stream_dir: Optional[str] = None,
-    stream_batch: int = 256,
+    data: Dict[str, Any], replicates: int, **kwargs: Any
 ) -> List[ReplicateOutcome]:
     """Fan a traffic description across ``replicates`` derived seeds.
 
-    The sweep mechanics mirror :func:`repro.perturb.run_chaos_campaigns`
-    exactly (seed derivation, run-store sessions keyed by the canonical
-    description minus ``supervise``, supervised pools).  With
-    ``stream_dir``, each replicate spills its records to
-    ``<stream_dir>/seed-<seed>/`` instead of memory (reports are
-    byte-identical either way).
+    :func:`~repro.sim.run_campaign` over :func:`run_traffic_replicate`,
+    stored under the description's
+    :func:`~repro.sim.campaign_identity`; keyword arguments pass
+    through as for :func:`repro.perturb.run_chaos_campaigns`.
     """
-    base = base_seed if base_seed is not None else int(data.get("seed", 0))
-    specs: List[Dict[str, Any]] = []
-    for i in range(replicates):
-        seed = replicate_seed(base, i)
-        spec: Dict[str, Any] = {"data": data, "seed": seed}
-        if stream_dir is not None:
-            spec["stream_dir"] = os.path.join(stream_dir, f"seed-{seed}")
-            spec["stream_batch"] = stream_batch
-        specs.append(spec)
-    runner = SweepRunner(
+    return run_campaign(
         run_traffic_replicate,
-        workers=workers,
-        chunk_size=chunk_size,
-        deadline=deadline,
-        retry_policy=retry_policy,
-        infra_chaos=infra_chaos,
+        "traffic",
+        data,
+        replicates,
+        campaign_identity(data),
+        **kwargs,
     )
-    key_data = {k: v for k, v in data.items() if k != "supervise"}
-    try:
-        if store is None:
-            return runner.run(specs)
-        with store.session(
-            "traffic",
-            {"data": key_data, "base_seed": base},
-            retries=retries,
-            resume=resume,
-        ) as session:
-            return runner.run(specs, resume=session)
-    finally:
-        if supervision_log is not None:
-            supervision_log.absorb(runner.last_supervision)
 
 
 def summarize_traffic(

@@ -181,36 +181,6 @@ class TestSummarizeVerdicts:
             "max": 40.0,
         }
 
-    def test_percentile_edge_ranks(self):
-        """Pin nearest-rank behavior at the boundaries.
-
-        q=0 must return the minimum, q=1.0 the maximum (the rank
-        formula ``ceil(q*n)-1`` lands on n-1 exactly, no off-by-one),
-        and a single-element sequence answers every q with that
-        element."""
-        from repro.perturb.chaos import _percentile
-
-        values = [10.0, 20.0, 30.0, 40.0, 50.0]
-        assert _percentile(values, 0.0) == 10.0
-        assert _percentile(values, 0.5) == 30.0
-        assert _percentile(values, 1.0) == 50.0
-        # Just below a rank boundary stays on the lower rank.
-        assert _percentile(values, 0.2) == 10.0
-        assert _percentile(values, 0.2000001) == 20.0
-        assert _percentile([7.0], 0.0) == 7.0
-        assert _percentile([7.0], 0.5) == 7.0
-        assert _percentile([7.0], 1.0) == 7.0
-
-    def test_percentile_rejects_bad_inputs(self):
-        from repro.perturb.chaos import _percentile
-
-        with pytest.raises(ValueError, match="empty"):
-            _percentile([], 0.5)
-        with pytest.raises(ValueError, match="must be in"):
-            _percentile([1.0], 1.5)
-        with pytest.raises(ValueError, match="must be in"):
-            _percentile([1.0], -0.1)
-
     def test_empty_and_unhealed(self):
         assert summarize_verdicts([])["healed_fraction"] == 0.0
         summary = summarize_verdicts(

@@ -49,7 +49,8 @@ def _head_with_neighbors(sim, minimum=2):
 class TestTieBreak:
     """An exact distance tie must resolve to the lower node id, in
     every table insertion order — pins the ``(distance, node_id)``
-    discipline of all three routers."""
+    discipline of both deciders (the offline router walks
+    :class:`CellRouter`)."""
 
     def _symmetric_table(self, state, attr, target):
         """Two table entries with synthetic, exactly-equidistant
@@ -108,24 +109,6 @@ class TestTieBreak:
                 )
                 assert action == FORWARD
                 picks.append(hop)
-            assert picks == [expected, expected]
-        finally:
-            state.neighbor_heads = original
-
-    def test_offline_router_tie_break_is_order_independent(self, configured):
-        sim = configured
-        head_id, state = _head_with_neighbors(sim)
-        target = Vec2(0.0, 10_000.0)
-        forward, backward, expected = self._symmetric_table(
-            state, "il", target
-        )
-        original = state.neighbor_heads
-        try:
-            router = HierarchicalRouter(sim.runtime)
-            picks = []
-            for table in (forward, backward):
-                state.neighbor_heads = table
-                picks.append(router._next_hop(head_id, target, {head_id}))
             assert picks == [expected, expected]
         finally:
             state.neighbor_heads = original

@@ -20,6 +20,10 @@ class TestSharedPercentile:
         values = [1.0, 2.0, 3.0, 4.0]
         assert percentile(values, 0.75) == 3.0
         assert percentile(values, 0.99) == 4.0
+        # Just below a rank boundary stays on the lower rank.
+        values = [10.0, 20.0, 30.0, 40.0, 50.0]
+        assert percentile(values, 0.2) == 10.0
+        assert percentile(values, 0.2000001) == 20.0
 
     def test_single_element_for_every_q(self):
         for q in (0.0, 0.25, 0.5, 0.99, 1.0):

@@ -557,6 +557,87 @@ class TestSupervisedExecution:
         assert "unknown infra fault" in out
 
 
+class TestCampaignDriver:
+    CAMPAIGN = {
+        "seed": 5,
+        "config": {"ideal_radius": 100.0, "radius_tolerance": 25.0},
+        "deployment": {
+            "kind": "uniform",
+            "field_radius": 130.0,
+            "n_nodes": 160,
+        },
+        "chaos": {
+            "duration": 200.0,
+            "kill_rate": 0.005,
+            "settle_window": 80.0,
+        },
+    }
+
+    def test_shard_executor_never_forks_the_run_identity(
+        self, tmp_path, capsys
+    ):
+        """The executor is execution policy: a sharded campaign stored
+        with the inline executor resumes under the process executor,
+        and both reports (provenance included) are byte-identical."""
+        campaign_path = tmp_path / "campaign.json"
+        campaign_path.write_text(json.dumps(self.CAMPAIGN))
+        store = tmp_path / "runs"
+        reports = []
+        for executor, extra in (("inline", []), ("process", ["--resume"])):
+            report = tmp_path / f"{executor}.json"
+            code = main(
+                [
+                    "chaos",
+                    str(campaign_path),
+                    "--campaigns",
+                    "1",
+                    "--workers",
+                    "0",
+                    "--shards",
+                    "2",
+                    "--shard-executor",
+                    executor,
+                    "--store",
+                    str(store),
+                    "--json",
+                    str(report),
+                    *extra,
+                ]
+            )
+            assert code == 0
+            reports.append(report.read_bytes())
+        out = capsys.readouterr().out
+        assert "cached: 0/1" in out
+        assert "cached: 1/1" in out
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep", "--replicates", "-3"], "--replicates must be >= 1"),
+            (["chaos", "--campaigns", "0"], "--campaigns must be >= 1"),
+            (["traffic", "--replicates", "0"], "--replicates must be >= 1"),
+            (["sweep", "--resume"], "need --store"),
+            (["chaos", "--retries", "3"], "need --store"),
+            (["traffic", "--store", "runs", "--retries", "-1"],
+             "--retries must be >= 0"),
+            (["chaos", "--workers", "-1"], "workers must be >= 0"),
+        ],
+    )
+    def test_rejects_empty_runs_and_orphan_flags(
+        self, tmp_path, capsys, argv, message
+    ):
+        campaign_path = tmp_path / "campaign.json"
+        campaign_path.write_text(json.dumps(self.CAMPAIGN))
+        command, *flags = argv
+        code = main([command, str(campaign_path), "--workers", "0", *flags])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith("error: ")
+        assert message in out
+        assert out.count("\n") == 1
+
+
 class TestStoreExpiryCli:
     def _populated_store(self, tmp_path):
         from repro.sim import RunStore, StoredRecord

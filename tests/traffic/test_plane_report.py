@@ -9,7 +9,7 @@ from repro.traffic import (
     ForwardingPlane,
     Packet,
     TERMINAL_OUTCOMES,
-    build_traffic_report,
+    fold_traffic_report,
     percentile,
     run_traffic_replicate,
 )
@@ -171,8 +171,8 @@ class TestPercentile:
 
 
 class TestReportEdgeCases:
-    def test_empty_workload(self, configured):
-        report = build_traffic_report([], {}, {}, configured.network)
+    def test_empty_workload(self):
+        report = fold_traffic_report([], {}, (), {})
         assert report["generated"] == 0
         assert report["delivery_ratio"] == 0.0
         assert report["outcomes"]["missing"] == 0
