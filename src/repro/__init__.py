@@ -54,7 +54,7 @@ from .net import (
     uniform_disk,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "GS3Config",

@@ -42,10 +42,10 @@ code 130 and everything already finished is served on the next
 ``--resume``.
 
 The three and ``replay`` accept ``--shards N`` to run each replicate
-on the spatially-sharded executor — results are byte-identical at
-every shard count (``--shard-executor`` picks the inline or process
-backend and never affects results, the run-store key, or the
-provenance digest).
+on the spatially-sharded executor — results are byte-identical to the
+unsharded run at every shard count, so neither ``--shards`` nor
+``--shard-executor`` (the inline or process backend) affects results,
+the run-store key, or the provenance digest.
 
 Process-backed runs are *supervised* (:mod:`repro.sim.supervise`): a
 SIGKILLed, hung (``--task-deadline``), or frame-corrupting worker is
@@ -99,10 +99,9 @@ def _shard_parent() -> argparse.ArgumentParser:
     """The ``--shards`` / ``--shard-executor`` flags.
 
     ``--shards N`` runs each replicate on the spatially-sharded
-    executor; results are byte-identical at every N (but distinct from
-    the unsharded legacy trajectory, so the flag is part of the run
-    identity).  ``--shard-executor`` picks the worker backend and is
-    never part of the identity.
+    executor and ``--shard-executor`` picks its worker backend.  Both
+    are execution policy: results are byte-identical to the unsharded
+    run, and neither joins the run identity.
     """
     parent = argparse.ArgumentParser(add_help=False)
     parent.add_argument(
@@ -111,7 +110,7 @@ def _shard_parent() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="run on the sharded executor with N spatial shards "
-        "(byte-identical at every N; default: unsharded legacy path)",
+        "(results byte-identical to the default in-process run)",
     )
     parent.add_argument(
         "--shard-executor",
@@ -515,11 +514,9 @@ def cmd_heal(args) -> int:
 
 
 def cmd_scenario(args) -> int:
-    from .scenario import Scenario, run_scenario
+    from .scenario import run_scenario
 
-    with open(args.path, "r", encoding="utf-8") as handle:
-        scenario = Scenario.from_json(handle.read())
-    result = run_scenario(scenario)
+    result = run_scenario(_load_scenario(args.path))
     rows = [["configured at", result.configured_at]]
     for entry in result.perturbation_log:
         rows.append(
@@ -614,6 +611,7 @@ def _run_campaigns(
 
     from .sim import (
         RunStore,
+        RunStoreError,
         SupervisionLog,
         SweepRunner,
         run_campaign,
@@ -621,8 +619,7 @@ def _run_campaigns(
     )
 
     count = getattr(args, count_flag)
-    with open(args.path, "r", encoding="utf-8") as handle:
-        data = _json.load(handle)
+    data = _load_input(args.path, _parse_campaign)
     try:
         if count < 1:
             raise ValueError(f"--{count_flag} must be >= 1, got {count}")
@@ -638,7 +635,8 @@ def _run_campaigns(
             data = prepare(data)
         data, pool_kwargs = _apply_supervise_flags(data, args, workers)
         identity = identity_of(data)
-    except ValueError as exc:
+        store = None if args.store is None else RunStore(args.store)
+    except (ValueError, RunStoreError) as exc:
         print(f"error: {exc}")
         return 2
     base_seed = (
@@ -658,7 +656,7 @@ def _run_campaigns(
             base_seed=base_seed,
             workers=args.workers,
             chunk_size=args.chunk_size,
-            store=None if args.store is None else RunStore(args.store),
+            store=store,
             resume=args.resume,
             retries=args.retries,
             supervision_log=supervision,
@@ -906,9 +904,8 @@ def _traffic_report(outcomes, base_seed, workers):
 def _apply_shard_flags(data, args):
     """Fold ``--shards`` / ``--shard-executor`` into a scenario dict.
 
-    ``shards`` joins the run identity (it is digest-relevant); the
-    executor flavour rides along for this invocation only and never
-    joins the identity.
+    Both ride along for this invocation only and never join the run
+    identity.
     """
     if args.shards is None:
         return data
@@ -1001,11 +998,46 @@ def _graceful_signals():
     return lambda: _signal.signal(_signal.SIGTERM, previous)
 
 
+class _BadInput(Exception):
+    """An input file that does not load or parse.
+
+    :func:`main` prints it as one ``error: <path>: <message>`` line and
+    exits 2.
+    """
+
+
+def _load_input(path: str, parse):
+    """``parse`` the JSON in ``path``; any failure is a :class:`_BadInput`."""
+    import json as _json
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse(_json.load(handle))
+    except KeyError as exc:
+        raise _BadInput(f"{path}: missing key {exc}") from None
+    except (OSError, ValueError, TypeError) as exc:
+        raise _BadInput(f"{path}: {exc}") from None
+
+
 def _load_scenario(path: str):
     from .scenario import Scenario
 
-    with open(path, "r", encoding="utf-8") as handle:
-        return Scenario.from_json(handle.read())
+    return _load_input(path, Scenario.from_dict)
+
+
+def _parse_campaign(data):
+    """Check a sweep/chaos/traffic file before any replicate runs.
+
+    Parses everything each replicate would: the scenario blocks
+    (``config``, ``deployment``, ``channel``, ``traffic`` …) and the
+    ``chaos`` block.  Returns ``data`` unchanged.
+    """
+    from .perturb.chaos import ChaosConfig
+    from .scenario import Scenario
+
+    Scenario.from_dict(data)
+    ChaosConfig.from_dict(data.get("chaos", {}))
+    return data
 
 
 def cmd_replay(args) -> int:
@@ -1179,6 +1211,14 @@ def cmd_figures(args) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except _BadInput as exc:
+        print(f"error: {exc}")
+        return 2
+
+
+def _dispatch(args) -> int:
     if args.command == "configure":
         return cmd_configure(args)
     if args.command == "heal":

@@ -8,8 +8,8 @@ plus convergence measurement for the healing experiments.
 
 from __future__ import annotations
 
-import math
-from typing import Callable, Dict, List, Optional, Type
+import random
+from typing import Callable, List, Optional, Type
 
 from ..geometry import Vec2
 from ..net import (
@@ -21,7 +21,7 @@ from ..net import (
     Network,
     NodeId,
 )
-from ..sim import PeriodicTimer
+from ..sim import PeriodicTimer, derive_seed
 from .config import GS3Config
 from .gs3d import Gs3DynamicNode
 from .gs3s import Gs3StaticNode
@@ -99,7 +99,7 @@ class Gs3DynamicSimulation(Gs3Simulation):
             channel_faults=channel_faults,
         )
 
-    # -- perturbations --------------------------------------------------
+    # -- perturbations (driver operations) ----------------------------
 
     def kill_node(self, node_id: NodeId) -> None:
         """Unanticipated node leave / fail-stop (no-op on dead nodes)."""
@@ -107,11 +107,15 @@ class Gs3DynamicSimulation(Gs3Simulation):
             return
         if not self.network.node(node_id).alive:
             return  # already dead: don't re-run on_killed or re-trace
-        self.network.kill_node(node_id)
-        node = self.runtime.nodes.get(node_id)
-        if node is not None and hasattr(node, "on_killed"):
-            node.on_killed()
-        self.runtime.trace("perturb.kill", node_id)
+
+        def kill() -> None:
+            self.network.kill_node(node_id)
+            node = self.runtime.nodes.get(node_id)
+            if node is not None and hasattr(node, "on_killed"):
+                node.on_killed()
+            self.runtime.trace("perturb.kill", node_id)
+
+        self._apply(kill)
 
     def kill_region(self, center: Vec2, radius: float) -> List[NodeId]:
         """Kill every live node in a disk; returns the victims."""
@@ -131,47 +135,69 @@ class Gs3DynamicSimulation(Gs3Simulation):
             return
         if self.network.node(node_id).alive:
             return  # already alive: don't re-run on_revived or re-trace
-        self.network.revive_node(node_id)
-        node = self.runtime.nodes.get(node_id)
-        if node is not None and hasattr(node, "on_revived"):
-            node.on_revived()
-        if self.energy is not None:
-            self.energy.add_node(node_id)
-        self.runtime.trace("perturb.join", node_id)
+
+        def revive() -> None:
+            self.network.revive_node(node_id)
+            node = self.runtime.nodes.get(node_id)
+            if node is not None and hasattr(node, "on_revived"):
+                node.on_revived()
+            if self.energy is not None:
+                self.energy.add_node(node_id)
+            self.runtime.trace("perturb.join", node_id)
+
+        self._apply(revive)
 
     def add_node(self, position: Vec2) -> NodeId:
         """A brand-new node joins the network at ``position``."""
-        phys = self.network.add_node(
-            position, max_range=self.config.recommended_max_range
-        )
-        node = self.node_class(self.runtime, phys.node_id)
-        if getattr(self, "_started", False):
-            node.start()
-        if self.energy is not None:
-            self.energy.add_node(phys.node_id)
-        self.runtime.trace("perturb.join", phys.node_id)
-        return phys.node_id
+
+        def join() -> NodeId:
+            phys = self.network.add_node(
+                position, max_range=self.config.recommended_max_range
+            )
+            node = self.node_class(self.runtime, phys.node_id)
+            if self._started:
+                node.start()
+            if self.energy is not None:
+                self.energy.add_node(phys.node_id)
+            self.runtime.trace("perturb.join", phys.node_id)
+            return phys.node_id
+
+        return self._apply(join)
 
     def corrupt_node(
         self,
         node_id: NodeId,
         mutator: Callable = default_corruption,
     ) -> None:
-        """Corrupt a node's protocol state in place."""
+        """Corrupt a node's protocol state in place.
+
+        Operation ``k`` draws from its own ``corruption:<k>`` seed, so
+        the draws do not depend on which shard would execute it.
+        """
         node = self.runtime.nodes[node_id]
-        mutator(node, self.runtime.rng.stream("corruption"))
-        self.runtime.trace("perturb.corrupt", node_id)
+        index = next(self._driver_ops)
+        rng = random.Random(derive_seed(self.seed, f"corruption:{index}"))
+
+        def corrupt() -> None:
+            mutator(node, rng)
+            self.runtime.trace("perturb.corrupt", node_id)
+
+        self._apply(corrupt, index)
 
     def move_node(self, node_id: NodeId, new_position: Vec2) -> None:
         """Relocate a node (mobile perturbation)."""
         if not self.network.has_node(node_id):
             return
-        old = self.network.node(node_id).position
-        self.network.move_node(node_id, new_position)
-        node = self.runtime.nodes.get(node_id)
-        if node is not None and hasattr(node, "on_moved"):
-            node.on_moved(old, new_position)
-        self.runtime.trace("perturb.move", node_id)
+
+        def move() -> None:
+            old = self.network.node(node_id).position
+            self.network.move_node(node_id, new_position)
+            node = self.runtime.nodes.get(node_id)
+            if node is not None and hasattr(node, "on_moved"):
+                node.on_moved(old, new_position)
+            self.runtime.trace("perturb.move", node_id)
+
+        self._apply(move)
 
     def jam_region(
         self,
@@ -192,15 +218,19 @@ class Gs3DynamicSimulation(Gs3Simulation):
         window = JamWindow(
             start=begin, end=begin + duration, center=center, radius=radius
         )
-        self.runtime.radio.ensure_fault_model().add_jam_window(window)
-        self.runtime.tracer.emit(
-            self.runtime.sim.now,
-            "perturb.jam",
-            node=None,
-            center=(center.x, center.y),
-            radius=radius,
-            until=window.end,
-        )
+
+        def jam() -> None:
+            self.runtime.radio.ensure_fault_model().add_jam_window(window)
+            self.runtime.tracer.emit(
+                self.runtime.sim.now,
+                "perturb.jam",
+                node=None,
+                center=(center.x, center.y),
+                radius=radius,
+                until=window.end,
+            )
+
+        self._apply(jam)
         return window
 
     # -- energy-driven death ------------------------------------------------

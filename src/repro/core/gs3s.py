@@ -302,22 +302,11 @@ class Gs3StaticNode:
         """
         if self.is_root:
             return None
-        # Under sharded execution the parent may be simulated elsewhere
-        # and reading its live state would be shard-count-dependent, so
-        # lane-keyed runs always derive from the message-built
-        # known-heads table.
-        parent = (
-            None
-            if self.rt.sim.lane_keys
-            else self.rt.nodes.get(self.state.parent_id)
-        )
-        if parent is not None and parent.state.cell_axial is not None:
-            axial = parent.state.cell_axial
-        else:
-            # Derive from the known-heads table if the parent object is
-            # unavailable (e.g. removed from the network).
-            info = self.known_heads.get(self.state.parent_id)
-            axial = info.axial if info else None
+        # The parent's cell comes from the message-built known-heads
+        # table, never its live state: the parent may be simulated in
+        # another shard, or removed from the network.
+        info = self.known_heads.get(self.state.parent_id)
+        axial = info.axial if info else None
         if axial is None or self.state.cell_axial is None:
             return None
         from ..geometry import hex_distance

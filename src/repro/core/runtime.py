@@ -2,7 +2,7 @@
 
 A :class:`Gs3Runtime` bundles everything the per-node programs need:
 the configuration, the discrete-event simulator, the network and radio,
-the channel-reservation manager, the IL lattice anchored at the big
+the channel reservations, the IL lattice anchored at the big
 node, and the trace sink.  Node objects receive the runtime at
 construction and register themselves in :attr:`nodes`.
 """
@@ -15,7 +15,14 @@ from typing import TYPE_CHECKING, Dict
 from typing import Optional
 
 from ..geometry import HexLattice, Vec2
-from ..net import ChannelFaultConfig, ChannelManager, Network, NodeId, Radio
+from ..net import (
+    ChannelFaultConfig,
+    ChannelReservations,
+    LocalChannel,
+    Network,
+    NodeId,
+    Radio,
+)
 from ..sim import RngStreams, Simulator, Tracer
 from .config import GS3Config
 
@@ -33,7 +40,7 @@ class Gs3Runtime:
     sim: Simulator
     network: Network
     radio: Radio
-    channel: ChannelManager
+    channel: ChannelReservations
     tracer: Tracer
     rng: RngStreams
     lattice: HexLattice
@@ -83,7 +90,7 @@ class Gs3Runtime:
                 else None
             ),
         )
-        channel = ChannelManager(sim, grant_delay=config.hop_latency)
+        channel = LocalChannel(sim, config.hop_latency)
         lattice = HexLattice(
             origin=network.big_node.position,
             spacing=config.lattice_spacing,

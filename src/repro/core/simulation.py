@@ -16,12 +16,24 @@ public API::
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Type
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+)
 
 from ..geometry import Disk
 from ..net import ChannelFaultConfig, Deployment, Network
 from ..sim import Tracer
+from ..sim.engine import DRIVER_BASE
 from .config import GS3Config
 from .gs3s import Gs3StaticNode
 from .runtime import Gs3Runtime
@@ -31,7 +43,11 @@ __all__ = [
     "Gs3Simulation",
     "StabilityReport",
     "STRUCTURE_CHANGE_CATEGORIES",
+    "converged_at",
+    "stabilize",
 ]
+
+_T = TypeVar("_T")
 
 #: Trace categories that indicate the head-level structure changed.
 #: ``run_until_stable`` declares convergence when none of these have
@@ -104,8 +120,146 @@ class StabilityReport:
         }
 
 
+def stabilize(
+    simulation,
+    window: float = 50.0,
+    max_time: float = 100_000.0,
+    categories: Iterable[str] = STRUCTURE_CHANGE_CATEGORIES,
+    check_invariants: bool = True,
+    field: Optional[Disk] = None,
+    dynamic: bool = True,
+    horizon: Optional[float] = None,
+) -> StabilityReport:
+    """Run ``simulation`` until its structure stops changing; always a
+    report.
+
+    ``simulation`` is a :class:`Gs3Simulation` or a sharded
+    :class:`~repro.sim.shard.ShardedSimulation`: everything used here —
+    ``start``, ``snapshot``, ``gap_axials``, ``network`` and the
+    ``runtime.sim`` clock and ``runtime.tracer`` — is the surface both
+    share.
+
+    The run advances in ``window``-sized steps and is stable once no
+    structure-changing trace fired for a whole window (or the queue
+    drained).  On success the report carries the convergence instant;
+    on timeout it carries diagnostics (failing invariants, the last
+    structure-change category and time, pending event count) instead
+    of an exception — the form chaos campaigns aggregate into
+    :class:`~repro.perturb.chaos.StabilizationVerdict`.
+
+    ``check_invariants`` runs the SI/DI conjunction at the end
+    (pass the deployment ``field`` for the boundary-aware checks;
+    ``dynamic`` selects the DI children bound).  Skipped checks
+    leave ``violations`` empty.
+
+    ``horizon`` is the deterministic-replay cut-off: the run stops
+    the moment virtual time reaches it (events at times ``<=
+    horizon`` are processed, nothing beyond) and the report comes
+    back with ``horizon_reached=True``.  Crucially the stabilise
+    loop still advances in exactly the same ``window``-sized steps
+    as an uncapped run up to that point, so the pre-horizon
+    trajectory — and therefore the state at the horizon — is
+    byte-identical to the uninterrupted run's.
+    """
+    simulation.start()
+    sim = simulation.runtime.sim
+    tracer = simulation.runtime.tracer
+    categories = tuple(categories)
+    stable = False
+    converged: Optional[float] = None
+    while sim.now < max_time:
+        if horizon is not None and sim.now + window > horizon:
+            if sim.now < horizon:
+                sim.run(until=horizon)
+            return StabilityReport(
+                stable=False,
+                time=sim.now,
+                converged_at=None,
+                last_change_category=None,
+                last_change_time=None,
+                pending_events=sim.pending_events,
+                horizon_reached=True,
+            )
+        sim.run_for(window)
+        last_change = tracer.last_time(*categories)
+        if last_change is None or last_change <= sim.now - window:
+            stable = True
+            converged = last_change if last_change is not None else sim.now
+            break
+        if sim.next_event_time() is None:
+            # The queue drained mid-window; ``last_change`` is not
+            # None here (the branch above broke otherwise).
+            stable = True
+            converged = last_change
+            break
+    last_category: Optional[str] = None
+    last_time: Optional[float] = None
+    by_category = tracer.last_time_by_category
+    for category in categories:
+        t = by_category.get(category)
+        if t is not None and (last_time is None or t > last_time):
+            last_category, last_time = category, t
+    violations: List[str] = []
+    if check_invariants:
+        from .invariants import check_static_invariant
+
+        violations = check_static_invariant(
+            simulation.snapshot(),
+            simulation.network,
+            field=field,
+            gap_axials=simulation.gap_axials(),
+            dynamic=dynamic,
+        )
+    return StabilityReport(
+        stable=stable,
+        time=sim.now,
+        converged_at=converged,
+        last_change_category=last_category,
+        last_change_time=last_time,
+        pending_events=sim.pending_events,
+        violations=tuple(violations),
+    )
+
+
+def converged_at(
+    simulation,
+    window: float = 50.0,
+    max_time: float = 100_000.0,
+    categories: Iterable[str] = STRUCTURE_CHANGE_CATEGORIES,
+) -> float:
+    """The convergence instant of ``simulation.stabilize`` without the
+    invariant check.
+
+    Raises:
+        TimeoutError: when ``max_time`` passes without stability.
+    """
+    report = simulation.stabilize(
+        window=window,
+        max_time=max_time,
+        categories=categories,
+        check_invariants=False,
+    )
+    if not report.stable:
+        raise TimeoutError(
+            f"structure did not stabilise within {max_time} ticks"
+        )
+    # ``converged_at`` is set on every stable report; asserting the
+    # contract here keeps the float return type honest.
+    assert report.converged_at is not None
+    return report.converged_at
+
+
 class Gs3Simulation:
-    """One protocol run: network + runtime + node programs."""
+    """One protocol run: network + runtime + node programs.
+
+    Drivers act on a run only through *driver operations* (perturbations
+    in :class:`~repro.core.dynamic.Gs3DynamicSimulation`, packet
+    injections here).  Operation ``k`` runs in its own lane
+    ``DRIVER_BASE + k``, after every event due at its time, and its
+    same-time follow-ups finish before the next operation starts — the
+    rule a sharded run's coordinator follows too, which is what makes
+    the two trajectories one.
+    """
 
     def __init__(
         self,
@@ -119,6 +273,7 @@ class Gs3Simulation:
         self.config = config
         self.network = network
         self.node_class = node_class
+        self.seed = seed
         self.runtime = Gs3Runtime.build(
             network,
             config,
@@ -126,6 +281,8 @@ class Gs3Simulation:
             keep_trace_records=keep_trace_records,
             channel_faults=channel_faults,
         )
+        self._started = False
+        self._driver_ops = itertools.count()
         for node_id in network.node_ids():
             node_class(self.runtime, node_id)
 
@@ -159,12 +316,28 @@ class Gs3Simulation:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Boot every node program (idempotent per node)."""
-        if getattr(self, "_started", False):
+        """Boot every node program, each in its own lane (idempotent)."""
+        if self._started:
             return
         self._started = True
-        for node in list(self.runtime.nodes.values()):
-            node.start()
+        sim = self.runtime.sim
+        previous = sim.current_lane
+        for node_id in sorted(self.runtime.nodes):
+            sim.set_lane(node_id)
+            self.runtime.nodes[node_id].start()
+        sim.set_lane(previous)
+
+    def _apply(
+        self, operation: Callable[[], _T], index: Optional[int] = None
+    ) -> _T:
+        """Run one driver operation (see the class docstring).
+
+        ``index`` is the operation's number when the caller drew it
+        already (it seeds the operation's randomness).
+        """
+        if index is None:
+            index = next(self._driver_ops)
+        return self.runtime.sim.apply(DRIVER_BASE + index, operation)
 
     def run_to_quiescence(self, max_time: Optional[float] = None) -> float:
         """Run until the event queue drains (or ``max_time``).
@@ -199,20 +372,7 @@ class Gs3Simulation:
             Use :meth:`stabilize` for a non-raising variant that
             returns diagnostics instead.
         """
-        report = self.stabilize(
-            window=window,
-            max_time=max_time,
-            categories=categories,
-            check_invariants=False,
-        )
-        if not report.stable:
-            raise TimeoutError(
-                f"structure did not stabilise within {max_time} ticks"
-            )
-        # ``converged_at`` is set on every stable report; asserting the
-        # contract here keeps the float return type honest.
-        assert report.converged_at is not None
-        return report.converged_at
+        return converged_at(self, window, max_time, categories)
 
     def stabilize(
         self,
@@ -224,87 +384,37 @@ class Gs3Simulation:
         dynamic: bool = True,
         horizon: Optional[float] = None,
     ) -> StabilityReport:
-        """Non-raising :meth:`run_until_stable`: always a report.
+        """Non-raising :meth:`run_until_stable`: always a report (see
+        the module-level :func:`stabilize`)."""
+        return stabilize(
+            self, window, max_time, categories, check_invariants, field,
+            dynamic, horizon,
+        )
 
-        On success the report carries the convergence instant; on
-        timeout it carries diagnostics (failing invariants, the last
-        structure-change category and time, pending event count)
-        instead of an exception — the form chaos campaigns aggregate
-        into :class:`~repro.perturb.chaos.StabilizationVerdict`.
+    # -- data plane (repro.traffic) ------------------------------------------
 
-        ``check_invariants`` runs the SI/DI conjunction at the end
-        (pass the deployment ``field`` for the boundary-aware checks;
-        ``dynamic`` selects the DI children bound).  Skipped checks
-        leave ``violations`` empty.
+    def attach_traffic(self, plane_config: Dict[str, Any], stream=None):
+        """Attach a forwarding plane (a driver operation); returns it.
 
-        ``horizon`` is the deterministic-replay cut-off: the run stops
-        the moment virtual time reaches it (events at times ``<=
-        horizon`` are processed, nothing beyond) and the report comes
-        back with ``horizon_reached=True``.  Crucially the stabilise
-        loop still advances in exactly the same ``window``-sized steps
-        as an uncapped run up to that point, so the pre-horizon
-        trajectory — and therefore the state at the horizon — is
-        byte-identical to the uninterrupted run's.
+        ``stream`` optionally spills the plane's records to a
+        :class:`~repro.traffic.stream.JsonlRecordStream`.
         """
-        self.start()
-        sim = self.runtime.sim
-        tracer = self.runtime.tracer
-        categories = tuple(categories)
-        stable = False
-        converged_at: Optional[float] = None
-        while sim.now < max_time:
-            if horizon is not None and sim.now + window > horizon:
-                if sim.now < horizon:
-                    sim.run(until=horizon)
-                return StabilityReport(
-                    stable=False,
-                    time=sim.now,
-                    converged_at=None,
-                    last_change_category=None,
-                    last_change_time=None,
-                    pending_events=sim.pending_events,
-                    horizon_reached=True,
-                )
-            sim.run_for(window)
-            last_change = tracer.last_time(*categories)
-            if last_change is None or last_change <= sim.now - window:
-                stable = True
-                converged_at = (
-                    last_change if last_change is not None else sim.now
-                )
-                break
-            if sim.next_event_time() is None:
-                # The queue drained mid-window; ``last_change`` is not
-                # None here (the branch above broke otherwise).
-                stable = True
-                converged_at = last_change
-                break
-        last_category: Optional[str] = None
-        last_time: Optional[float] = None
-        by_category = tracer.last_time_by_category
-        for category in categories:
-            t = by_category.get(category)
-            if t is not None and (last_time is None or t > last_time):
-                last_category, last_time = category, t
-        violations: List[str] = []
-        if check_invariants:
-            from .invariants import check_static_invariant
+        from ..traffic.plane import ForwardingPlane
 
-            violations = check_static_invariant(
-                self.snapshot(),
-                self.network,
-                field=field,
-                gap_axials=self.gap_axials(),
-                dynamic=dynamic,
+        return self._apply(
+            lambda: ForwardingPlane(
+                self.runtime, dict(plane_config), stream=stream
             )
-        return StabilityReport(
-            stable=stable,
-            time=sim.now,
-            converged_at=converged_at,
-            last_change_category=last_category,
-            last_change_time=last_time,
-            pending_events=sim.pending_events,
-            violations=tuple(violations),
+        )
+
+    def send_packet(self, packet) -> None:
+        """Originate a data packet at its source, now."""
+        self._apply(lambda: self.runtime.radio.data_plane.inject(packet))
+
+    def send_packet_batch(self, packets) -> None:
+        """Originate a same-source packet batch in one driver operation."""
+        self._apply(
+            lambda: self.runtime.radio.data_plane.inject_batch(list(packets))
         )
 
     # -- observation -------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Wireless network substrate: nodes, radio, channel, deployments."""
 
-from .channel import ChannelLease, ChannelManager
+from .channel import (
+    ChannelLease,
+    ChannelMediator,
+    ChannelReservations,
+    LocalChannel,
+)
 from .deployment import (
     Deployment,
     carve_gaps,
@@ -24,7 +29,9 @@ from .topology import Network
 
 __all__ = [
     "ChannelLease",
-    "ChannelManager",
+    "ChannelMediator",
+    "ChannelReservations",
+    "LocalChannel",
     "Deployment",
     "carve_gaps",
     "deployment_from_spec",

@@ -20,11 +20,12 @@ literature stresses healing algorithms with exactly those adversaries:
 
 :class:`ChannelFaultModel` bundles all four and is consulted by
 :class:`~repro.net.radio.Radio` once per broadcast delivery.  Every
-stochastic draw comes from named :class:`~repro.sim.RngStreams`
-streams, so replicated runs stay deterministic; the pre-existing
-Bernoulli ``broadcast_loss`` is exactly the degenerate configuration
-``ChannelFaultModel(rng, bernoulli_loss=p)`` (same ``radio.loss``
-stream, same draw per candidate receiver).
+stochastic draw comes from the sender's own named
+:class:`~repro.sim.RngStreams` streams (``radio.loss.<sender>`` …),
+drawn at send time, so replicated runs stay deterministic and a draw
+never depends on which shard hosts the receiver; the radio's Bernoulli
+``broadcast_loss`` is exactly the degenerate configuration
+``ChannelFaultModel(rng, bernoulli_loss=p)``.
 
 ``Radio`` keeps its fast path when no fault model is installed: the
 model is only consulted when present, so fault-free benchmarks are
@@ -218,9 +219,7 @@ class ChannelFaultConfig:
             ]
         return data
 
-    def build(
-        self, rng: RngStreams, per_sender: bool = False
-    ) -> "ChannelFaultModel":
+    def build(self, rng: RngStreams) -> "ChannelFaultModel":
         """Instantiate the stateful model on a run's rng streams."""
         return ChannelFaultModel(
             rng,
@@ -229,37 +228,48 @@ class ChannelFaultConfig:
             latency_jitter=self.latency_jitter,
             duplicate_prob=self.duplicate_prob,
             jam_windows=self.jam_windows,
-            per_sender=per_sender,
         )
 
 
 class _SenderChannel:
-    """Per-sender fault streams and burst state (per-sender mode).
+    """One sender's fault streams and Gilbert–Elliott burst state.
 
-    Shared streams are consumed in global delivery order, which depends
-    on how the event population interleaves — a shard-count-dependent
-    quantity.  Keying the streams (and the Gilbert–Elliott chain state)
-    by *sender* makes every draw a function of that sender's own
-    deterministic send sequence, which is shard-invariant.
+    Streams shared by all senders would be consumed in global delivery
+    order, which depends on how the event population interleaves — a
+    shard-count-dependent quantity.  Keying the streams (and the chain
+    state) by *sender* makes every draw a function of that sender's own
+    deterministic send sequence, which is shard-invariant.  Only the
+    streams of the processes the model runs are created: every sender
+    pays for them.
     """
 
     __slots__ = ("loss_rng", "jitter_rng", "dup_rng", "_in_burst")
 
-    def __init__(self, rng: RngStreams, sender: Any):
-        self.loss_rng = rng.stream(f"radio.loss.{sender}")
-        self.jitter_rng = rng.stream(f"radio.jitter.{sender}")
-        self.dup_rng = rng.stream(f"radio.duplicate.{sender}")
+    def __init__(self, model: "ChannelFaultModel", sender: Any):
+        rng = model._rng
+        lossy = model.gilbert_elliott is not None or model.bernoulli_loss
+        self.loss_rng = rng.stream(f"radio.loss.{sender}") if lossy else None
+        self.jitter_rng = (
+            rng.stream(f"radio.jitter.{sender}")
+            if model.latency_jitter
+            else None
+        )
+        self.dup_rng = (
+            rng.stream(f"radio.duplicate.{sender}")
+            if model.duplicate_prob
+            else None
+        )
         self._in_burst = False
 
 
 class ChannelFaultModel:
     """Stateful per-run fault model consulted by the radio per delivery.
 
-    Loss draws come from the ``radio.loss`` stream (so the degenerate
-    Bernoulli configuration reproduces the legacy ``broadcast_loss``
-    draw-for-draw), jitter from ``radio.jitter``, duplication from
-    ``radio.duplicate``.  Jamming is deterministic given the window
-    list and consumes no randomness.
+    Loss draws come from the sender's ``radio.loss.<sender>`` stream,
+    jitter from ``radio.jitter.<sender>``, duplication from
+    ``radio.duplicate.<sender>``; data frames use the ``data.<sender>``
+    variants.  Jamming is deterministic given the window list and
+    consumes no randomness.
 
     The model keeps forensic counters (``jam_drops``, ``loss_drops``,
     ``duplicates_sent``) so campaign verdicts can attribute drops.
@@ -273,7 +283,6 @@ class ChannelFaultModel:
         latency_jitter: float = 0.0,
         duplicate_prob: float = 0.0,
         jam_windows: Sequence[JamWindow] = (),
-        per_sender: bool = False,
     ):
         # Route validation through the frozen config so programmatic and
         # JSON construction reject bad parameters identically.
@@ -288,11 +297,6 @@ class ChannelFaultModel:
         self.latency_jitter = latency_jitter
         self.duplicate_prob = duplicate_prob
         self._rng = rng
-        self._loss_rng = rng.stream("radio.loss")
-        self._jitter_rng = rng.stream("radio.jitter")
-        self._dup_rng = rng.stream("radio.duplicate")
-        self._in_burst = False
-        self.per_sender = per_sender
         self._sender_channels: Dict[Any, _SenderChannel] = {}
         self._data_channels: Dict[Any, _SenderChannel] = {}
         self._jam_windows: List[JamWindow] = list(jam_windows)
@@ -328,22 +332,11 @@ class ChannelFaultModel:
 
     # -- per-delivery consultation --------------------------------------
 
-    def _channel_for(self, sender: Any):
-        """The stream/state bundle draws come from.
-
-        In per-sender mode (sharded runs) each sender gets its own
-        streams and burst state; legacy mode shares one bundle (the
-        model itself) regardless of ``sender``.
-        """
-        if not self.per_sender:
-            return self
-        if sender is None:
-            raise ValueError(
-                "per-sender fault model consulted without a sender id"
-            )
+    def _channel_for(self, sender: Any) -> _SenderChannel:
+        """The sender's stream/state bundle."""
         channel = self._sender_channels.get(sender)
         if channel is None:
-            channel = _SenderChannel(self._rng, sender)
+            channel = _SenderChannel(self, sender)
             self._sender_channels[sender] = channel
         return channel
 
@@ -352,7 +345,7 @@ class ChannelFaultModel:
         now: float,
         sender_pos: Vec2,
         receiver_pos: Vec2,
-        sender: Any = None,
+        sender: Any,
     ) -> bool:
         """Decide one broadcast delivery's fate (``True`` = dropped).
 
@@ -365,10 +358,14 @@ class ChannelFaultModel:
         ):
             self.jam_drops += 1
             return True
-        channel = self._channel_for(sender) if self.per_sender else self
         ge = self.gilbert_elliott
+        if ge is None and not self.bernoulli_loss:
+            return False
+        channel = (
+            self._sender_channels.get(sender) or self._channel_for(sender)
+        )
         if ge is not None:
-            rng = channel.loss_rng if self.per_sender else self._loss_rng
+            rng = channel.loss_rng
             loss = ge.loss_bad if channel._in_burst else ge.loss_good
             dropped = loss > 0.0 and rng.random() < loss
             flip = ge.p_exit_burst if channel._in_burst else ge.p_enter_burst
@@ -377,11 +374,9 @@ class ChannelFaultModel:
             if dropped:
                 self.loss_drops += 1
             return dropped
-        if self.bernoulli_loss:
-            rng = channel.loss_rng if self.per_sender else self._loss_rng
-            if rng.random() < self.bernoulli_loss:
-                self.loss_drops += 1
-                return True
+        if channel.loss_rng.random() < self.bernoulli_loss:
+            self.loss_drops += 1
+            return True
         return False
 
     # -- data-plane consultation ----------------------------------------
@@ -398,7 +393,7 @@ class ChannelFaultModel:
     def _data_channel(self, sender: Any) -> "_SenderChannel":
         channel = self._data_channels.get(sender)
         if channel is None:
-            channel = _SenderChannel(self._rng, f"data.{sender}")
+            channel = _SenderChannel(self, f"data.{sender}")
             self._data_channels[sender] = channel
         return channel
 
@@ -422,8 +417,10 @@ class ChannelFaultModel:
         ):
             self.jam_drops += 1
             return True
-        channel = self._data_channel(sender)
         ge = self.gilbert_elliott
+        if ge is None and not self.bernoulli_loss:
+            return False
+        channel = self._data_channel(sender)
         if ge is not None:
             rng = channel.loss_rng
             loss = ge.loss_bad if channel._in_burst else ge.loss_good
@@ -434,10 +431,9 @@ class ChannelFaultModel:
             if dropped:
                 self.loss_drops += 1
             return dropped
-        if self.bernoulli_loss:
-            if channel.loss_rng.random() < self.bernoulli_loss:
-                self.loss_drops += 1
-                return True
+        if channel.loss_rng.random() < self.bernoulli_loss:
+            self.loss_drops += 1
+            return True
         return False
 
     def data_latency(self, sender: Any) -> float:
@@ -447,33 +443,29 @@ class ChannelFaultModel:
             return rng.uniform(0.0, self.latency_jitter)
         return 0.0
 
-    def extra_latency(self, sender: Any = None) -> float:
+    def extra_latency(self, sender: Any) -> float:
         """Per-delivery latency jitter, uniform on ``[0, latency_jitter]``."""
         if self.latency_jitter:
-            rng = (
-                self._channel_for(sender).jitter_rng
-                if self.per_sender
-                else self._jitter_rng
+            channel = (
+                self._sender_channels.get(sender) or self._channel_for(sender)
             )
-            return rng.uniform(0.0, self.latency_jitter)
+            return channel.jitter_rng.uniform(0.0, self.latency_jitter)
         return 0.0
 
-    def extra_copies(self, sender: Any = None) -> int:
+    def extra_copies(self, sender: Any) -> int:
         """How many duplicate frames to deliver on top of the original."""
         if self.duplicate_prob:
-            rng = (
-                self._channel_for(sender).dup_rng
-                if self.per_sender
-                else self._dup_rng
+            channel = (
+                self._sender_channels.get(sender) or self._channel_for(sender)
             )
-            if rng.random() < self.duplicate_prob:
+            if channel.dup_rng.random() < self.duplicate_prob:
                 self.duplicates_sent += 1
                 return 1
         return 0
 
     @property
     def is_degenerate_bernoulli(self) -> bool:
-        """Whether the model reduces to the legacy memoryless loss."""
+        """Whether the model reduces to memoryless Bernoulli loss."""
         return (
             self.gilbert_elliott is None
             and self.latency_jitter == 0.0

@@ -6,7 +6,7 @@ Transmission semantics follow Section 2.1 of the paper:
   reliable — acknowledgement and retransmission are assumed below this
   layer;
 * *destination-unaware* transmission (broadcast) may be unreliable —
-  deliveries are decided per receiver, either by the legacy memoryless
+  deliveries are decided per receiver, either by the memoryless
   Bernoulli drop (``broadcast_loss``) or by a full
   :class:`~repro.net.faults.ChannelFaultModel` (bursty Gilbert–Elliott
   loss, latency jitter, duplication, regional jamming).
@@ -16,10 +16,14 @@ so that protocol convergence measured in ticks corresponds to message
 diffusion time, the unit of the paper's convergence bounds.  A fault
 model may add per-delivery jitter on top.
 
-Fast-path contract: with no fault model installed (``faults is None``
-and ``broadcast_loss == 0``) the broadcast loop does no per-delivery
-branching beyond the legacy path — fault support costs nothing when
-off (pinned by ``benchmarks/bench_perf_engine.py``).
+Ordering: every delivery claims one lane key from the sender's lane
+(data frames: from the sender's data lane) in canonical candidate
+order and executes in the receiver's lane, and every fault draw
+happens at *send* time from the sender's own streams — so lane
+counters and fault streams advance identically whether the receiver is
+simulated locally or in another shard.  With no fault model installed
+(``faults is None`` and ``broadcast_loss == 0``) the broadcast loop
+makes no fault draws at all.
 """
 
 from __future__ import annotations
@@ -28,23 +32,15 @@ from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..sim import RngStreams, Simulator, Tracer
+from ..sim.engine import DATA_LANE_BASE
 from .faults import ChannelFaultModel
 from .node import NodeId
 from .topology import Network
 
-__all__ = ["Radio", "DeliveryError", "DATA_LANE_BASE"]
+__all__ = ["Radio", "DeliveryError"]
 
 #: Message handler signature: ``handler(payload, sender_id)``.
 Handler = Callable[[Any, NodeId], None]
-
-#: Lane namespace for data-plane events: node ``n`` claims keys from
-#: lane ``DATA_LANE_BASE + n``.  Protocol lanes (plain node ids) replay
-#: on every shard mirroring a node, so their counters must advance in
-#: lockstep across replicas; data events execute only on the owner, and
-#: claiming from ambient protocol lanes would desynchronise the
-#: replicas (and could mint colliding keys).  Sits below the driver
-#: namespace (``repro.sim.shard.DRIVER_BASE``, ``1 << 60``).
-DATA_LANE_BASE = 1 << 59
 
 
 class DeliveryError(RuntimeError):
@@ -104,13 +100,11 @@ class Radio:
         self._rng = rng or RngStreams(0)
         if faults is None and broadcast_loss:
             faults = ChannelFaultModel(
-                self._rng,
-                bernoulli_loss=broadcast_loss,
-                per_sender=sim.lane_keys,
+                self._rng, bernoulli_loss=broadcast_loss
             )
         self.faults = faults
         self._handlers: Dict[NodeId, Handler] = {}
-        # Sharded execution (lane-keyed mode only): a port deciding
+        # Sharded execution: a port deciding
         # whether a destination is simulated locally and carrying
         # cross-boundary deliveries to the coordinator.  ``None`` means
         # every destination is local.
@@ -139,9 +133,7 @@ class Radio:
         not pay the fault path until the first jam actually arrives.
         """
         if self.faults is None:
-            self.faults = ChannelFaultModel(
-                self._rng, per_sender=self.sim.lane_keys
-            )
+            self.faults = ChannelFaultModel(self._rng)
         return self.faults
 
     # -- transmission -----------------------------------------------------
@@ -165,37 +157,40 @@ class Radio:
         self.tracer.emit(
             self.sim.now, "msg.broadcast", node=sender_id, tx_range=effective
         )
-        if self.sim.lane_keys:
-            return self._broadcast_lane(sender, sender_id, payload, effective)
-        scheduled = 0
-        candidates = self.network.broadcast_candidates(sender_id, effective)
-        faults = self.faults
-        if faults is None:
-            for receiver in candidates:
-                self._schedule_delivery(sender_id, receiver.node_id, payload)
-                scheduled += 1
-            return scheduled
         now = self.sim.now
-        sender_pos = sender.position
-        schedule = self.sim.schedule
-        hop = self.hop_latency
-        for receiver in candidates:
-            if faults.drop_broadcast(now, sender_pos, receiver.position):
-                self.tracer.emit(
-                    now, "msg.lost", node=receiver.node_id, sender=sender_id
-                )
-                continue
-            deliver = partial(
-                self._deliver, sender_id, receiver.node_id, payload
+        arrival = now + self.hop_latency
+        faults = self.faults
+        candidates = self.network.broadcast_candidates(sender_id, effective)
+        if faults is None:
+            self._dispatch(
+                sender_id,
+                [(arrival, node.node_id, payload) for node in candidates],
             )
-            schedule(hop + faults.extra_latency(), deliver)
+            return len(candidates)
+        sender_pos = sender.position
+        tracer = self.tracer
+        deliveries = []
+        scheduled = 0
+        for receiver in candidates:
+            dest_id = receiver.node_id
+            if faults.drop_broadcast(
+                now, sender_pos, receiver.position, sender_id
+            ):
+                tracer.emit(now, "msg.lost", node=dest_id, sender=sender_id)
+                continue
             scheduled += 1
-            for _ in range(faults.extra_copies()):
-                self.tracer.emit(
-                    now, "msg.duplicate", node=receiver.node_id,
-                    sender=sender_id,
+            deliveries.append(
+                (arrival + faults.extra_latency(sender_id), dest_id, payload)
+            )
+            for _ in range(faults.extra_copies(sender_id)):
+                tracer.emit(
+                    now, "msg.duplicate", node=dest_id, sender=sender_id
                 )
-                schedule(hop + faults.extra_latency(), deliver)
+                deliveries.append(
+                    (arrival + faults.extra_latency(sender_id), dest_id,
+                     payload)
+                )
+        self._dispatch(sender_id, deliveries)
         return scheduled
 
     def unicast(self, sender_id: NodeId, dest_id: NodeId, payload: Any) -> bool:
@@ -225,25 +220,15 @@ class Radio:
             self.tracer.emit(self.sim.now, "msg.unreachable", node=sender_id)
             return False
         self.tracer.emit(self.sim.now, "msg.unicast", node=sender_id)
-        if self.sim.lane_keys:
-            extra = (
-                self.faults.extra_latency(sender_id)
-                if self.faults is not None
-                else 0.0
-            )
-            key = self.sim.claim_key()
-            self._dispatch(
-                self.sim.now + self.hop_latency + extra,
-                key, sender_id, dest_id, payload,
-            )
-            return True
-        if self.faults is None:
-            self._schedule_delivery(sender_id, dest_id, payload)
-        else:
-            self.sim.schedule(
-                self.hop_latency + self.faults.extra_latency(),
-                partial(self._deliver, sender_id, dest_id, payload),
-            )
+        extra = (
+            self.faults.extra_latency(sender_id)
+            if self.faults is not None
+            else 0.0
+        )
+        self._dispatch(
+            sender_id,
+            [(self.sim.now + self.hop_latency + extra, dest_id, payload)],
+        )
         return True
 
     def send_data(self, sender_id: NodeId, dest_id: NodeId, payload: Any) -> str:
@@ -280,32 +265,17 @@ class Radio:
         now = self.sim.now
         self.tracer.emit(now, "msg.data", node=sender_id)
         faults = self.faults
-        if self.sim.lane_keys:
-            extra = 0.0
-            if faults is not None:
-                if faults.drop_data(
-                    now, sender.position, dest.position, sender_id
-                ):
-                    self.tracer.emit(
-                        now, "msg.lost", node=dest_id, sender=sender_id
-                    )
-                    return "dropped"
-                extra = faults.data_latency(sender_id)
-            key = self.sim.claim_key(DATA_LANE_BASE + sender_id)
-            self._dispatch(
-                now + self.hop_latency + extra, key, sender_id, dest_id, payload
-            )
-            return "sent"
+        extra = 0.0
         if faults is not None:
             if faults.drop_data(now, sender.position, dest.position, sender_id):
                 self.tracer.emit(now, "msg.lost", node=dest_id, sender=sender_id)
                 return "dropped"
-            self.sim.schedule(
-                self.hop_latency + faults.data_latency(sender_id),
-                partial(self._deliver, sender_id, dest_id, payload),
-            )
-            return "sent"
-        self._schedule_delivery(sender_id, dest_id, payload)
+            extra = faults.data_latency(sender_id)
+        self._dispatch(
+            sender_id,
+            [(now + self.hop_latency + extra, dest_id, payload)],
+            DATA_LANE_BASE + sender_id,
+        )
         return "sent"
 
     def send_data_batch(
@@ -317,22 +287,20 @@ class Radio:
         ``(dest_id, payload)`` in item order — per-sender fault draws
         and lane keys are claimed in exactly that order, so a batched
         burst and a sequential one produce the same trajectory — but
-        the sender lookup, fault model, and mode dispatch are hoisted
-        out of the loop, which is what keeps 10⁵-packet bursts cheap.
+        the sender lookup and fault model are hoisted out of the loop,
+        which is what keeps 10⁵-packet bursts cheap.
         """
         sender = self.network.node(sender_id)
         if not sender.alive:
             return ["sender_dead"] * len(items)
         network = self.network
-        sim = self.sim
-        now = sim.now
+        now = self.sim.now
         hop = self.hop_latency
         faults = self.faults
         tracer = self.tracer
         sender_pos = sender.position
         can_reach = sender.can_reach
-        lane_mode = sim.lane_keys
-        lane = DATA_LANE_BASE + sender_id
+        deliveries = []
         outcomes: List[str] = []
         for dest_id, payload in items:
             if not network.has_node(dest_id):
@@ -355,99 +323,37 @@ class Radio:
                 extra = faults.data_latency(sender_id)
             else:
                 extra = 0.0
-            if lane_mode:
-                self._dispatch(
-                    now + hop + extra, sim.claim_key(lane),
-                    sender_id, dest_id, payload,
-                )
-            else:
-                sim.schedule(
-                    hop + extra,
-                    partial(self._deliver, sender_id, dest_id, payload),
-                )
+            deliveries.append((now + hop + extra, dest_id, payload))
             outcomes.append("sent")
+        self._dispatch(sender_id, deliveries, DATA_LANE_BASE + sender_id)
         return outcomes
 
-    # -- lane-keyed (sharded) transmission -------------------------------
-
-    def _broadcast_lane(
-        self, sender, sender_id: NodeId, payload: Any, effective: float
-    ) -> int:
-        """Broadcast under the lane-key discipline.
-
-        Every delivery — local or cross-shard — claims a key from the
-        sender's lane in canonical candidate order, so lane counters
-        advance identically at every shard count.  Fault draws happen
-        at *send* time per candidate (per-sender streams), never at
-        receive time, for the same reason.
-        """
-        sim = self.sim
-        now = sim.now
-        hop = self.hop_latency
-        faults = self.faults
-        sender_pos = sender.position
-        tracer = self.tracer
-        scheduled = 0
-        for receiver in self.network.broadcast_candidates(
-            sender_id, effective
-        ):
-            dest_id = receiver.node_id
-            if faults is not None:
-                if faults.drop_broadcast(
-                    now, sender_pos, receiver.position, sender_id
-                ):
-                    tracer.emit(
-                        now, "msg.lost", node=dest_id, sender=sender_id
-                    )
-                    continue
-                arrivals = [now + hop + faults.extra_latency(sender_id)]
-                for _ in range(faults.extra_copies(sender_id)):
-                    tracer.emit(
-                        now, "msg.duplicate", node=dest_id, sender=sender_id
-                    )
-                    arrivals.append(
-                        now + hop + faults.extra_latency(sender_id)
-                    )
-            else:
-                arrivals = (now + hop,)
-            scheduled += 1
-            for arrival in arrivals:
-                self._dispatch(
-                    arrival, sim.claim_key(), sender_id, dest_id, payload
-                )
-        return scheduled
+    # -- delivery ----------------------------------------------------------
 
     def _dispatch(
         self,
-        arrival: float,
-        key,
         sender_id: NodeId,
-        dest_id: NodeId,
-        payload: Any,
+        deliveries: Sequence[Tuple[float, NodeId, Any]],
+        lane: Optional[int] = None,
     ) -> None:
+        """Schedule ``(arrival, dest_id, payload)`` deliveries in order.
+
+        Each claims the next key of ``lane`` (default: the current
+        lane, the sender's) and runs in the receiver's lane — here, or
+        in the receiver's shard through the shard port.
+        """
+        sim = self.sim
+        claim = sim.claim_key
+        schedule = sim.schedule_keyed
+        deliver = self._deliver
         port = self.shard_port
-        if port is None or port.is_local(dest_id):
-            self.sim.schedule_keyed(
-                arrival,
-                key,
-                partial(self._deliver, sender_id, dest_id, payload),
-                lane=dest_id,
-            )
-        else:
-            port.send_delivery(arrival, key, sender_id, dest_id, payload)
-
-    # -- internals -----------------------------------------------------------
-
-    def _schedule_delivery(
-        self, sender_id: NodeId, dest_id: NodeId, payload: Any
-    ) -> None:
-        # One shared deliver method with bound args: ``partial`` over a
-        # bound method allocates far less than defining a fresh closure
-        # (code object + cells) per scheduled message, and deliveries
-        # dominate allocation on broadcast-heavy runs.
-        self.sim.schedule(
-            self.hop_latency, partial(self._deliver, sender_id, dest_id, payload)
-        )
+        for arrival, dest_id, payload in deliveries:
+            key = claim(lane)
+            if port is None or port.is_local(dest_id):
+                callback = partial(deliver, sender_id, dest_id, payload)
+                schedule(arrival, key, callback, dest_id)
+            else:
+                port.send_delivery(arrival, key, sender_id, dest_id, payload)
 
     def _deliver(self, sender_id: NodeId, dest_id: NodeId, payload: Any) -> None:
         if not self.network.has_node(dest_id):

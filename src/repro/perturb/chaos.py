@@ -249,7 +249,7 @@ def build_campaign_simulation(
 
     Shared by the chaos verdict runner and the traffic engine so both
     construct byte-for-byte identical simulations from the same spec:
-    legacy in-process by default, the sharded facade when ``shards`` is
+    in-process by default, the sharded facade when ``shards`` is
     set (which rejects mobility — cross-region moves would be refused
     mid-campaign).
     """

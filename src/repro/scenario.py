@@ -139,10 +139,9 @@ class Scenario:
     #: Adversarial channel configuration (loss / jitter / duplication);
     #: ``None`` keeps the radio's reliable-broadcast fast path.
     channel: Optional[ChannelFaultConfig] = None
-    #: Spatial sharding: ``None`` runs the legacy single-simulator path;
-    #: an int (>= 1) runs the lane-keyed sharded executor, whose results
-    #: are byte-identical at every shard count (but distinct from the
-    #: legacy trajectory — hence ``shards`` is digest-relevant).
+    #: Spatial sharding: ``None`` runs in process; an int (>= 1) runs
+    #: the sharded executor with that many regions.  Never
+    #: digest-relevant: results are byte-identical either way.
     shards: Optional[int] = None
     #: Shard executor flavour (``inline`` or ``process``).  Never
     #: digest-relevant: executors are bit-identical by contract.
@@ -229,7 +228,9 @@ class Scenario:
 
         Only fields that differ from the parse-time defaults appear, so
         a scenario parsed from minimal JSON canonicalises back to the
-        same digest-relevant content.
+        same digest-relevant content.  Execution policy (``shards``,
+        ``shard_executor``, ``supervise``) is left out: it never changes
+        what a run computes.
         """
         data: Dict[str, Any] = {
             "seed": self.seed,
@@ -241,12 +242,6 @@ class Scenario:
         }
         if self.channel is not None:
             data["channel"] = self.channel.to_dict()
-        if self.shards is not None:
-            # Digest-relevant: sharded (lane-keyed) runs follow a
-            # different — internally consistent — trajectory than the
-            # legacy path, so their results must not collide in the run
-            # store.  The executor flavour is deliberately excluded.
-            data["shards"] = self.shards
         if self.traffic is not None:
             data["traffic"] = self.traffic.to_dict()
         return data
@@ -477,7 +472,7 @@ class ScenarioExecution:
     def close(self) -> None:
         """Release executor resources (worker processes, pipes).
 
-        A no-op for the legacy in-process simulation, which has no
+        A no-op for the in-process simulation, which has no
         ``close``; sharded simulations shut their workers down.
         """
         closer = getattr(self.simulation, "close", None)

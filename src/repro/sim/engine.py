@@ -4,22 +4,45 @@ The GS3 protocols are specified as guarded-command programs whose
 modules execute atomically.  We reproduce that execution model with a
 classic discrete-event simulator: every module execution, message
 delivery, and timer expiry is an *event* at a virtual time, and events
-are executed one at a time in timestamp order (FIFO among equal
-timestamps), which preserves the paper's atomicity assumption.
+are executed one at a time in ``(time, key)`` order, which preserves
+the paper's atomicity assumption.
 
 Virtual time is measured in abstract *ticks*; the network layer charges
 one tick per local message exchange, so convergence times measured in
 ticks are directly comparable to the paper's diffusion-time bounds
 (theta(D_b), O(D_p), ...).
 
-Performance notes: heap entries are plain ``(time, seq, event)``
+Event order.  Every event carries a key ``(origin_lane, origin_seq)``
+claimed from the *lane* that scheduled it, and equal-time ties break on
+that key.  The run loop switches the current lane to each event's
+execution lane before invoking its callback, so whatever a callback
+schedules claims from that lane.  A lane's counter advances only with
+that lane's own deterministic execution, so the key an event gets does
+not depend on how the rest of the event population interleaves — which
+is what lets a spatially sharded run (``repro.sim.shard``) reproduce
+the in-process run's execution order exactly, at any shard count.
+
+Lanes come in disjoint namespaces, listed in the order their events
+run at one instant:
+
+* node lanes ``0 <= n < DATA_LANE_BASE`` — node ``n``'s protocol
+  events (its boot, timers, and message handlers);
+* data lanes ``DATA_LANE_BASE + n`` — node ``n``'s data-plane sends
+  and retries;
+* ``CHANNEL_LANE`` — HEAD_ORG channel grants;
+* driver lanes ``DRIVER_BASE + k`` — driver operation ``k`` (a
+  perturbation, a packet injection) and every follow-on event it
+  schedules, such as a joined node's heartbeats;
+* ``EXTERNAL_LANE`` — callbacks armed from outside any event: the
+  perturbation and packet injectors of a run, and every event of a
+  bare simulator (whose events then run in plain FIFO order).
+
+Performance notes: heap entries are plain ``(time, key, event)``
 tuples, so ``heapq`` orders them with C tuple comparison and never
-falls back to rich comparison on the event record itself.  ``Event``
-is a ``__slots__`` record (no dict, no dataclass ``__eq__``/``__lt__``
-machinery), and the ``run`` loop binds the heap operations locally —
-together these roughly double raw dispatch throughput over the
-previous ``@dataclass(order=True)`` implementation (see
-``benchmarks/results/BENCH_perf.json``).
+falls back to rich comparison on the event record itself (keys are
+unique, so the record is never compared).  ``Event`` is a
+``__slots__`` record, and the ``run`` loop binds the heap operations
+locally (see ``benchmarks/results/BENCH_perf.json``).
 
 Recurring timers (one heartbeat per node — 100k of them at target
 scale) do not live on the one-shot heap at all: they go through a
@@ -28,41 +51,42 @@ bucket_width``).  Each bucket is a small heap, and a secondary heap of
 per-bucket minima merges the wheel with the one-shot heap in the run
 loop.  Re-arming a heartbeat then costs ``O(log bucket)`` on a bucket
 holding only the timers due in one wheel slot, instead of ``O(log n)``
-on a global heap holding every pending timer in the system.
-
-Determinism contract: a wheel entry is assigned its ``(time, seq)``
-key *at arm time* from the same ``seq`` counter as one-shot events,
-and the run loop always executes the globally smallest ``(time,
-seq)`` across both structures — so a run's event order (and therefore
-its trajectory) is bit-identical to the single-heap engine's.
-
-Lane-keyed mode (``lane_keys=True``) replaces the global ``seq``
-counter with per-*lane* counters: every event carries a key
-``(origin_lane, origin_seq)`` claimed from the lane that scheduled it,
-and equal-time ties break on that key instead of global arrival
-order.  Because each lane's counter advances only with that lane's own
-deterministic execution, the key assigned to an event is independent
-of how the overall event population is interleaved — which is what
-lets a spatially sharded run (``repro.sim.shard``) reproduce the
-exact same execution order at any shard count.  Legacy mode is the
-default and its key layout, hot loop, and trajectories are unchanged.
+on a global heap holding every pending timer in the system.  A wheel
+entry claims its key at arm time exactly like a one-shot event, and the
+run loop always executes the smallest ``(time, key)`` across both
+structures, so the wheel never changes a run's event order.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 __all__ = [
+    "CHANNEL_LANE",
+    "DATA_LANE_BASE",
+    "DRIVER_BASE",
+    "EXTERNAL_LANE",
     "Event",
     "EventHandle",
     "PeriodicTimer",
     "SimulationError",
     "Simulator",
 ]
+
+#: Node ``n``'s data-plane lane is ``DATA_LANE_BASE + n``.  Node ids
+#: stay below this base, so node and data lanes never meet.
+DATA_LANE_BASE = 1 << 58
+#: The lane channel grants are keyed in.
+CHANNEL_LANE = 1 << 59
+#: Driver operation ``k`` runs in lane ``DRIVER_BASE + k``.
+DRIVER_BASE = 1 << 60
+#: The lane of callbacks armed from outside any event.
+EXTERNAL_LANE = 1 << 61
+
+_T = TypeVar("_T")
 
 
 class SimulationError(RuntimeError):
@@ -72,26 +96,30 @@ class SimulationError(RuntimeError):
 class Event:
     """A scheduled callback, doubling as its own cancellation handle.
 
-    Heap ordering lives in the ``(time, seq)`` tuple wrapped around the
-    record, not on the record itself (``seq`` breaks ties, so the
-    record is never compared).  ``cancelled`` and ``consumed`` are
-    mutually exclusive: an event is *pending* until it is either
-    cancelled (before it runs) or consumed (when the simulator pops and
-    executes it).  Folding the handle into the record keeps the
-    schedule path at one allocation per event.
+    Heap ordering lives in the ``(time, key)`` tuple wrapped around the
+    record, not on the record itself.  ``lane`` is the execution lane
+    the run loop switches to before invoking ``callback``.
+    ``cancelled`` and ``consumed`` are mutually exclusive: an event is
+    *pending* until it is either cancelled (before it runs) or consumed
+    (when the simulator pops and executes it).  Folding the handle into
+    the record keeps the schedule path at one allocation per event.
     """
 
     __slots__ = ("time", "callback", "cancelled", "consumed", "lane", "_sim")
 
     def __init__(
-        self, sim: "Simulator", time: float, callback: Callable[[], None]
+        self,
+        sim: "Simulator",
+        time: float,
+        callback: Callable[[], None],
+        lane: int,
     ):
         self._sim = sim
         self.time = time
         self.callback = callback
         self.cancelled = False
         self.consumed = False
-        self.lane = None
+        self.lane = lane
 
     @property
     def active(self) -> bool:
@@ -117,26 +145,19 @@ class Simulator:
     The simulator is deliberately minimal: protocol logic lives in the
     network and core packages and registers plain callbacks.  Fairness
     (the paper's weak-fairness assumption on guarded commands) follows
-    from FIFO execution of equal-timestamp events.
+    from FIFO execution of equal-timestamp events within a lane.
     """
 
     def __init__(
         self,
         max_events: int = 50_000_000,
         timer_bucket_width: Optional[float] = None,
-        lane_keys: bool = False,
     ):
-        self._queue: List[Tuple[float, int, Event]] = []
-        self._seq = itertools.count()
-        # -- lane-keyed mode ----------------------------------------------
-        # Keys become (origin_lane, origin_seq) tuples claimed from
-        # per-lane counters; the run loop switches the current lane to
-        # each event's execution lane before invoking its callback, so
-        # anything the callback schedules claims from that lane.  A
-        # simulator never mixes int and tuple keys: the mode is fixed at
-        # construction.
-        self._lane_keys = lane_keys
-        self._lane: Optional[int] = None
+        self._queue: List[Tuple[float, Tuple[int, int], Event]] = []
+        # Scheduling from outside any event claims from EXTERNAL_LANE;
+        # drivers switch lanes with ``set_lane`` (node boot) or
+        # ``apply`` (driver operations).
+        self._lane: Optional[int] = EXTERNAL_LANE
         self._lane_counters: dict = {}
         self._now = 0.0
         self._executed = 0
@@ -145,15 +166,15 @@ class Simulator:
         self._running = False
         # -- timer wheel (recurring events) --------------------------------
         # Buckets keyed by int(time // width); each bucket is a heap of
-        # (time, seq, event) entries.  ``_wheel_minheap`` holds
-        # (time, seq, bucket_key) for every entry that has ever been a
+        # (time, key, event) entries.  ``_wheel_minheap`` holds
+        # (time, key, bucket_key) for every entry that has ever been a
         # bucket minimum (stale entries are dropped lazily), and
-        # ``_wheel_min`` caches the exact current global minimum key so
-        # the run loop can merge wheel and heap with two comparisons.
+        # ``_wheel_min`` caches the exact current global minimum so the
+        # run loop can merge wheel and heap with two comparisons.
         self._wheel_width = timer_bucket_width
         self._wheel_buckets: dict = {}
-        self._wheel_minheap: List[Tuple[float, int, int]] = []
-        self._wheel_min: Optional[Tuple[float, int]] = None
+        self._wheel_minheap: List[tuple] = []
+        self._wheel_min: Optional[tuple] = None
 
     # -- clock -----------------------------------------------------------
 
@@ -194,12 +215,7 @@ class Simulator:
         """
         return self._live
 
-    # -- lanes (lane_keys mode only) ---------------------------------------
-
-    @property
-    def lane_keys(self) -> bool:
-        """Whether this simulator orders equal-time events by lane key."""
-        return self._lane_keys
+    # -- lanes -------------------------------------------------------------
 
     @property
     def current_lane(self) -> Optional[int]:
@@ -210,8 +226,9 @@ class Simulator:
         """Switch the current lane; returns the previous lane.
 
         Used by drivers that schedule from *outside* any event callback
-        (node boot, barrier injections); within callbacks the run loop
-        sets the lane to the executing event's lane automatically.
+        (node boot); within callbacks the run loop sets the lane to the
+        executing event's lane automatically.  ``None`` forbids
+        scheduling outside events altogether.
         """
         previous = self._lane
         self._lane = lane
@@ -233,10 +250,8 @@ class Simulator:
         """
         if lane is None:
             lane = self._lane
-        if lane is None:
-            raise SimulationError(
-                "lane-keyed scheduling requires a lane context"
-            )
+            if lane is None:
+                raise SimulationError("scheduling requires a lane context")
         counters = self._lane_counters
         n = counters.get(lane, 0)
         counters[lane] = n + 1
@@ -253,19 +268,52 @@ class Simulator:
 
         ``lane`` is the *execution* lane the run loop switches to before
         invoking the callback (for a radio delivery: the destination
-        node's lane).  Only valid in lane-keyed mode.
+        node's lane).
         """
-        if not self._lane_keys:
-            raise SimulationError("schedule_keyed requires lane_keys mode")
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self._now}"
             )
-        event = Event(self, time, callback)
-        event.lane = lane
+        event = Event(self, time, callback, lane)
         heapq.heappush(self._queue, (time, key, event))
         self._live += 1
         return event
+
+    def apply(self, lane: int, operation: Callable[[], _T]) -> _T:
+        """Run a driver operation now, in ``lane``; return its result.
+
+        The operation runs after every event due now (bar callbacks
+        armed from outside, which are themselves driver callbacks), and
+        every same-time event it causes runs before this returns — so
+        operations applied one after another never interleave.  Call it
+        from outside the run loop or from a callback armed outside;
+        ``lane`` must be fresh (a driver lane nothing else uses).
+        """
+        self._run_due()
+        previous = self._lane
+        self._lane = lane
+        try:
+            result = operation()
+        finally:
+            self._lane = previous
+        self._run_due()
+        return result
+
+    def _run_due(self) -> None:
+        """Execute the pending events at ``now`` that sort below
+        :data:`EXTERNAL_LANE`."""
+        bound = (self._now, (EXTERNAL_LANE,))
+        queue = self._queue
+        while True:
+            while queue and queue[0][2].cancelled:
+                heapq.heappop(queue)
+            head = queue[0][:2] if queue else None
+            wheel = self._wheel_peek()
+            if wheel is not None and (head is None or wheel < head):
+                head = wheel
+            if head is None or head >= bound:
+                return
+            self.step()
 
     # -- scheduling --------------------------------------------------------
 
@@ -279,13 +327,15 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         time = self._now + delay
-        event = Event(self, time, callback)
-        if self._lane_keys:
-            key = self.claim_key()
-            event.lane = self._lane
-        else:
-            key = next(self._seq)
-        _push(self._queue, (time, key, event))
+        # ``claim_key``, inlined: this is the hot scheduling path.
+        lane = self._lane
+        if lane is None:
+            raise SimulationError("scheduling requires a lane context")
+        counters = self._lane_counters
+        n = counters.get(lane, 0)
+        counters[lane] = n + 1
+        event = Event(self, time, callback, lane)
+        _push(self._queue, (time, (lane, n), event))
         self._live += 1
         return event
 
@@ -300,19 +350,15 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self._now}"
             )
-        event = Event(self, time, callback)
-        if self._lane_keys:
-            key = self.claim_key()
-            event.lane = self._lane
-        else:
-            key = next(self._seq)
+        key = self.claim_key()
+        event = Event(self, time, callback, key[0])
         _push(self._queue, (time, key, event))
         self._live += 1
         return event
 
     def call_soon(self, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` at the current time (after pending
-        same-time events)."""
+        same-time events of the current lane)."""
         return self.schedule(0.0, callback)
 
     # -- the timer wheel ---------------------------------------------------
@@ -326,7 +372,7 @@ class Simulator:
         """Schedule ``callback`` via the timer wheel.
 
         Semantically identical to :meth:`schedule` (same clock, same
-        ``seq`` counter, same cancellation handle, counted by
+        lane key, same cancellation handle, counted by
         :attr:`pending_events`), but the pending entry lives in a
         calendar-queue bucket instead of the global heap — the arming
         path for *recurring* timers, where the population is large and
@@ -340,12 +386,8 @@ class Simulator:
             hint = interval_hint if interval_hint else delay
             self._wheel_width = hint if hint > 0 else 1.0
         time = self._now + delay
-        event = Event(self, time, callback)
-        if self._lane_keys:
-            seq = self.claim_key()
-            event.lane = self._lane
-        else:
-            seq = next(self._seq)
+        seq = self.claim_key()
+        event = Event(self, time, callback, seq[0])
         key = int(time // self._wheel_width)
         bucket = self._wheel_buckets.get(key)
         entry = (time, seq, event)
@@ -404,8 +446,8 @@ class Simulator:
         self._wheel_min = None
         return popped
 
-    def _wheel_peek(self) -> Optional[Tuple[float, int]]:
-        """Exact minimum (time, seq) of a *live* wheel entry, or None.
+    def _wheel_peek(self) -> Optional[tuple]:
+        """Exact minimum (time, key) of a *live* wheel entry, or None.
 
         Unlike ``_wheel_min`` (which may reference a cancelled entry,
         mirroring the heap's lazy deletion), this discards cancelled
@@ -462,8 +504,7 @@ class Simulator:
                     f"exceeded max_events={self._max_events}; "
                     "likely a runaway protocol loop"
                 )
-            if self._lane_keys:
-                self._lane = event.lane
+            self._lane = event.lane
             event.callback()
             return True
 
@@ -480,10 +521,9 @@ class Simulator:
         pop = heapq.heappop
         max_events = self._max_events
         no_deadline = until is None
-        lane_keys = self._lane_keys
         try:
             while True:
-                # Pick the globally smallest (time, seq) across the
+                # Pick the globally smallest (time, key) across the
                 # one-shot heap and the timer wheel; with an empty
                 # wheel this costs one attribute load and a None test
                 # per event over the pure-heap loop.
@@ -529,8 +569,7 @@ class Simulator:
                         f"exceeded max_events={max_events}; "
                         "likely a runaway protocol loop"
                     )
-                if lane_keys:
-                    self._lane = event.lane
+                self._lane = event.lane
                 event.callback()
         finally:
             self._running = False

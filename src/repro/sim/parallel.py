@@ -269,15 +269,15 @@ def run_sweep(
 def campaign_identity(data: Dict[str, Any]) -> Dict[str, Any]:
     """A campaign description minus its execution policy.
 
-    ``supervise`` and ``shard_executor`` choose how replicates execute,
-    never what they compute — payloads are byte-identical under every
-    choice — so neither may fork the run-store key or the provenance
-    digest.  ``shards`` stays: it selects the lane-keyed trajectory.
+    ``shards``, ``shard_executor`` and ``supervise`` choose how
+    replicates execute, never what they compute — payloads are
+    byte-identical under every choice — so none may fork the run-store
+    key or the provenance digest.
     """
     return {
         k: v
         for k, v in data.items()
-        if k not in ("supervise", "shard_executor")
+        if k not in ("shards", "shard_executor", "supervise")
     }
 
 

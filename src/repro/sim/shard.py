@@ -12,16 +12,15 @@ at time ``t`` can only influence another node at ``t + L`` or later.
 Determinism contract (pinned by ``tests/sim/test_shard.py``):
 
 * A run at ``shards=N`` is **byte-identical** — same ``state_digest``,
-  same trace-record multiset, same chaos verdicts — to the same
-  scenario at ``shards=1``, for any ``N`` and for both the in-process
-  round-robin executor and the process-pool executor.  The identity is
-  *mode-relative*: sharded runs (including ``shards=1``) use the
-  lane-keyed engine ordering and therefore produce a different —
-  equally valid — trajectory than the legacy single-simulator path;
-  scenarios without a ``shards`` knob are untouched.
+  same trace-record multiset, same chaos verdicts — to the in-process
+  run of the same scenario (``Gs3DynamicSimulation``), for any ``N``
+  and for both the in-process round-robin executor and the
+  process-pool executor.  ``shards`` is execution policy, like
+  ``workers``: it never enters a scenario's identity.
 * Equal-time events are ordered by ``(time, (origin_lane, origin_seq))``
-  keys.  A node's lane is its id; every radio delivery claims one key
-  from the sender's lane in canonical (ascending receiver id) candidate
+  keys (the lane namespaces are defined in :mod:`repro.sim.engine`).
+  A node's lane is its id; every radio delivery claims one key from
+  the sender's lane in canonical (ascending receiver id) candidate
   order, whether the destination is local or remote, so lane counters
   advance identically at every shard count.
 * Channel-fault draws use per-sender streams
@@ -32,15 +31,20 @@ Determinism contract (pinned by ``tests/sim/test_shard.py``):
   no matter which shard owns the node.  ``shard_seed`` derives an
   auxiliary per-region seed in the ``replicate_seed`` style for
   shard-local needs outside the protocol trajectory.
+* Driver operations (perturbations, packet injections) run at epoch
+  barriers, op ``k`` in lane ``DRIVER_BASE + k`` after every event at
+  its time, with its same-time follow-ups finishing before op ``k+1``
+  — the in-process driver's rule (:meth:`Simulator.apply`).
 
 Only nodes within ``max_range`` of a region border are mirrored into
 the neighbouring shards' ``Network`` views; mirrors carry physical
 state only (position, liveness, range) and never run node programs.
 Cross-boundary radio deliveries are the only inter-shard events; they
 are exchanged at barriers and injected with their pre-claimed keys.
-The HEAD_ORG channel reservation is mediated at the coordinator with
-the legacy ``ChannelManager`` semantics shifted by one lookahead
-(request and release take one hop to reach the mediator).
+The HEAD_ORG channel mediator (:class:`~repro.net.channel.ChannelMediator`)
+lives at the coordinator; requests and releases reach it one
+lookahead after they are made, and its grants come back as barrier
+injections.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .engine import SimulationError, Simulator
+from .engine import DRIVER_BASE, SimulationError, Simulator
 from .rng import RngStreams, derive_seed
 from .supervise import (
     FrameCorruption,
@@ -73,26 +77,11 @@ from .supervise import (
 from .tracing import TraceRecord, Tracer
 
 __all__ = [
-    "CHANNEL_LANE",
-    "DRIVER_BASE",
     "ShardedSimulation",
     "ShardError",
     "plan_partition",
     "shard_seed",
 ]
-
-#: Lane for coordinator-issued channel grants.  Sorts after every node
-#: lane (node ids are small ints) so same-time grants run after node
-#: events, at any shard count.
-CHANNEL_LANE = 1 << 59
-
-#: Base lane for driver (perturbation) operations; operation ``k`` owns
-#: lane ``DRIVER_BASE + k``.  Everything a perturbation schedules —
-#: including follow-on chains like a joined node's heartbeat — keeps
-#: claiming from this lane, which is globally unique per operation and
-#: therefore shard-count invariant.
-DRIVER_BASE = 1 << 60
-
 
 class ShardError(RuntimeError):
     """Raised for operations a sharded run cannot support."""
@@ -210,62 +199,6 @@ class _ShardPort:
         )
 
 
-class LaneChannel:
-    """Shard-side stub of :class:`~repro.net.channel.ChannelManager`.
-
-    Requests and releases are forwarded to the coordinator's mediator
-    (one lookahead away, like any transmission); grants come back as
-    barrier injections.  Lease ids are the claimed lane keys, globally
-    unique and shard-count invariant.
-    """
-
-    def __init__(self, sim: Simulator, outbox: List[tuple]):
-        self.sim = sim
-        self.outbox = outbox
-        self._leases: Dict[tuple, tuple] = {}
-
-    def request(self, node_id, center, radius, on_grant):
-        from ..net.channel import ChannelLease
-
-        key = self.sim.claim_key()
-        lease = ChannelLease(key, node_id, center, radius)
-        self._leases[key] = (lease, on_grant)
-        self.outbox.append(
-            (
-                "chan_req",
-                self.sim.now,
-                key,
-                node_id,
-                (center.x, center.y),
-                radius,
-            )
-        )
-        return lease
-
-    def release(self, lease) -> None:
-        if lease.released:
-            return
-        lease.released = True
-        lease.active = False
-        self.outbox.append(
-            ("chan_rel", self.sim.now, self.sim.claim_key(), lease.lease_id)
-        )
-
-    def fire_grant(self, lease_id) -> None:
-        entry = self._leases.get(lease_id)
-        if entry is None:
-            return
-        lease, on_grant = entry
-        if lease.released:
-            return
-        lease.active = True
-        on_grant(lease)
-
-    def lane_of(self, lease_id) -> Optional[int]:
-        entry = self._leases.get(lease_id)
-        return entry[0].node_id if entry is not None else None
-
-
 _NODE_KINDS = ("static", "dynamic")
 
 
@@ -301,7 +234,7 @@ class ShardWorker:
         from ..core.gs3s import Gs3StaticNode
         from ..core.runtime import Gs3Runtime
         from ..geometry import HexLattice
-        from ..net import Radio, deployment_from_spec
+        from ..net import ChannelReservations, Radio, deployment_from_spec
 
         if spec.node_kind not in _NODE_KINDS:
             raise ShardError(f"unsupported node kind {spec.node_kind!r}")
@@ -322,7 +255,7 @@ class ShardWorker:
                 network.remove_node(node_id)
         self.owned: Set[int] = set(spec.owned)
         self.outbox: List[tuple] = []
-        sim = Simulator(lane_keys=True)
+        sim = Simulator()
         if spec.max_events is not None:
             sim.max_events = spec.max_events
         tracer = Tracer(keep_records=spec.keep_trace_records)
@@ -335,13 +268,11 @@ class ShardWorker:
             broadcast_loss=config.broadcast_loss,
             hop_latency=config.hop_latency,
             faults=(
-                spec.channel.build(rng, per_sender=True)
-                if spec.channel is not None
-                else None
+                spec.channel.build(rng) if spec.channel is not None else None
             ),
         )
         radio.shard_port = _ShardPort(self.owned, self.outbox)
-        self.channel = LaneChannel(sim, self.outbox)
+        self.channel = ChannelReservations(sim, self.outbox.append)
         lattice = HexLattice(
             origin=deployment.big_position,
             spacing=config.lattice_spacing,
@@ -384,14 +315,12 @@ class ShardWorker:
         return self._drain()
 
     def apply_ops(
-        self, time: float, ops: Sequence[Tuple[tuple, int, tuple]]
+        self, ops: Sequence[Tuple[int, tuple]]
     ) -> Tuple[List[tuple], Optional[float]]:
-        """Execute driver operations due exactly at the barrier time."""
-        for key, lane, desc in ops:
-            self.sim.schedule_keyed(
-                time, key, partial(self._exec_op, desc), lane=lane
-            )
-        self.sim.run(until=time)
+        """Execute ``(lane, descriptor)`` driver operations at the
+        barrier time, one after another."""
+        for lane, desc in ops:
+            self.sim.apply(lane, partial(self._exec_op, desc))
         return self._drain()
 
     def _drain(self) -> Tuple[List[tuple], Optional[float]]:
@@ -414,15 +343,7 @@ class ShardWorker:
             )
         elif kind == "grant":
             _, time, key, lease_id = item
-            lane = self.channel.lane_of(lease_id)
-            if lane is None:  # pragma: no cover - coordinator invariant
-                raise ShardError(f"grant for unknown lease {lease_id!r}")
-            self.sim.schedule_keyed(
-                time,
-                key,
-                partial(self.channel.fire_grant, lease_id),
-                lane=lane,
-            )
+            self.channel.grant(time, key, lease_id)
         else:  # pragma: no cover - defensive
             raise ShardError(f"unknown injection {kind!r}")
 
@@ -620,9 +541,9 @@ class _InlineExecutor:
         ]
 
     def apply_ops(
-        self, shard: int, time: float, ops: Sequence[tuple]
+        self, shard: int, ops: Sequence[tuple]
     ) -> Tuple[List[tuple], Optional[float]]:
-        return self._workers[shard].apply_ops(time, ops)
+        return self._workers[shard].apply_ops(ops)
 
     def query_all(self, what: str, arg: Any = None) -> List[Any]:
         return [worker.query(what, arg) for worker in self._workers]
@@ -687,7 +608,7 @@ def _shard_worker_main(conn, spec: ShardSpec, chaos=None) -> None:
                 elif cmd == "advance":
                     reply = worker.advance(msg[1], msg[2])
                 elif cmd == "apply_ops":
-                    reply = worker.apply_ops(msg[1], msg[2])
+                    reply = worker.apply_ops(msg[1])
                 elif cmd == "query":
                     reply = worker.query(msg[1], msg[2])
                 else:
@@ -986,11 +907,9 @@ class _ProcessExecutor:
         )
 
     def apply_ops(
-        self, shard: int, time: float, ops: Sequence[tuple]
+        self, shard: int, ops: Sequence[tuple]
     ) -> Tuple[List[tuple], Optional[float]]:
-        return self._dispatch(
-            shard, ("apply_ops", time, list(ops)), journal=True
-        )
+        return self._dispatch(shard, ("apply_ops", list(ops)), journal=True)
 
     def query_all(self, what: str, arg: Any = None) -> List[Any]:
         return self._broadcast(
@@ -1047,118 +966,13 @@ def _apply_inline(
     if cmd == "advance":
         return worker.advance(msg[1], msg[2])
     if cmd == "apply_ops":
-        return worker.apply_ops(msg[1], msg[2])
+        return worker.apply_ops(msg[1])
     if cmd == "query":
         return worker.query(msg[1], msg[2])
     raise ShardError(f"unknown command {cmd!r}")  # pragma: no cover
 
 
 _EXECUTORS = {"inline": _InlineExecutor, "process": _ProcessExecutor}
-
-
-# ---------------------------------------------------------------------------
-# Channel mediator
-# ---------------------------------------------------------------------------
-
-
-class _ChannelMediator:
-    """Coordinator-side HEAD_ORG mutual exclusion.
-
-    Reproduces :class:`~repro.net.channel.ChannelManager` semantics with
-    the request/release *effect* shifted one lookahead after the call
-    (the hop to the mediator).  Every flush processes the whole queue in
-    ``(effect_time, claim_key)`` order — safe because any not-yet-seen
-    operation necessarily has a later effect time than everything queued
-    (ops sent during epoch ``(b, B]`` have effects in ``(b+L, B+L]``).
-    Grants are stamped ``(CHANNEL_LANE, counter)`` in processing order,
-    which the barrier-sequence invariance makes shard-count invariant.
-    """
-
-    def __init__(self, lookahead: float):
-        self._lookahead = lookahead
-        self._queue: List[tuple] = []
-        self._waiting: List[dict] = []
-        self._active: Dict[tuple, dict] = {}
-        self._grants = itertools.count()
-
-    def ingest(self, shard: int, entry: tuple) -> None:
-        kind = entry[0]
-        if kind == "chan_req":
-            _, time, key, node_id, center, radius = entry
-            self._queue.append(
-                (
-                    time + self._lookahead,
-                    key,
-                    "req",
-                    {
-                        "lease_id": key,
-                        "node_id": node_id,
-                        "center": center,
-                        "radius": radius,
-                        "shard": shard,
-                        "released": False,
-                    },
-                )
-            )
-        else:  # chan_rel
-            _, time, key, lease_id = entry
-            self._queue.append(
-                (time + self._lookahead, key, "rel", lease_id)
-            )
-
-    @staticmethod
-    def _conflicts(a: dict, b: dict) -> bool:
-        reach = a["radius"] + b["radius"]
-        dx = a["center"][0] - b["center"][0]
-        dy = a["center"][1] - b["center"][1]
-        return dx * dx + dy * dy <= reach * reach
-
-    def flush(self) -> List[Tuple[int, float, tuple, tuple]]:
-        """Process all queued ops; returns grants to inject.
-
-        Each grant is ``(shard, time, key, lease_id)``.
-        """
-        if not self._queue:
-            return []
-        grants: List[Tuple[int, float, tuple, tuple]] = []
-        for time, _key, kind, payload in sorted(
-            self._queue, key=lambda entry: (entry[0], entry[1])
-        ):
-            if kind == "req":
-                self._waiting.append(payload)
-            else:
-                lease = self._active.pop(payload, None)
-                if lease is None:
-                    for waiting in self._waiting:
-                        if waiting["lease_id"] == payload:
-                            waiting["released"] = True
-                            break
-            self._pump(time, grants)
-        self._queue.clear()
-        return grants
-
-    def _pump(self, time: float, grants: list) -> None:
-        still_waiting: List[dict] = []
-        for lease in self._waiting:
-            if lease["released"]:
-                continue
-            conflict = any(
-                self._conflicts(lease, active)
-                for active in self._active.values()
-            )
-            if conflict:
-                still_waiting.append(lease)
-                continue
-            self._active[lease["lease_id"]] = lease
-            grants.append(
-                (
-                    lease["shard"],
-                    time,
-                    (CHANNEL_LANE, next(self._grants)),
-                    lease["lease_id"],
-                )
-            )
-        self._waiting = still_waiting
 
 
 # ---------------------------------------------------------------------------
@@ -1334,7 +1148,7 @@ class ShardedSimulation:
         supervise: Optional[Any] = None,
     ):
         from ..geometry import HexLattice
-        from ..net import deployment_from_spec
+        from ..net import ChannelMediator, deployment_from_spec
 
         if executor not in _EXECUTORS:
             raise ShardError(
@@ -1405,7 +1219,7 @@ class ShardedSimulation:
         self._closed = False
         self._next_times: List[Optional[float]] = [None] * shards
         self._pending_inject: List[List[tuple]] = [[] for _ in range(shards)]
-        self._mediator = _ChannelMediator(self._lookahead)
+        self._mediator = ChannelMediator(self._lookahead)
         self._ops: List[tuple] = []
         self._op_order = itertools.count()
         self._op_counter = itertools.count()
@@ -1561,22 +1375,22 @@ class ShardedSimulation:
     # -- perturbation API (driver operations) ---------------------------
 
     def _dispatch_op(
-        self, targets: Sequence[Tuple[int, tuple]]
+        self,
+        targets: Sequence[Tuple[int, tuple]],
+        index: Optional[int] = None,
     ) -> None:
         """Apply one driver operation at the current barrier.
 
-        ``targets`` pairs shard indices with descriptors.  The op event
-        is injected under key ``(DRIVER_BASE + k, -1)`` — below any key
-        the operation itself claims (claims start at 0), so same-time
-        follow-ups order after it.
+        ``targets`` pairs shard indices with descriptors; each target
+        shard applies it in lane ``DRIVER_BASE + k``.  ``index`` is the
+        operation's number ``k`` when the caller drew it already.
         """
-        op = next(self._op_counter)
+        op = next(self._op_counter) if index is None else index
         self.op_dispatches += 1
         lane = DRIVER_BASE + op
-        key = (lane, -1)
         for shard, desc in targets:
             outbox, next_time = self._executor.apply_ops(
-                shard, self._now, [(key, lane, desc)]
+                shard, [(lane, desc)]
             )
             self._next_times[shard] = next_time
             self._ingest(shard, outbox)
@@ -1650,14 +1464,12 @@ class ShardedSimulation:
         if node_id not in self._presence:
             raise KeyError(node_id)
         self.start()
-        # Each corruption draws from its own derived seed (rather than
-        # the legacy shared "corruption" stream) so the draw sequence
-        # does not depend on which shard executes it.
-        op_seed = derive_seed(
-            self.seed, f"corruption:{next(self._op_counter)}"
-        )
+        # Operation k draws from its own "corruption:<k>" seed, as in
+        # the in-process driver.
+        index = next(self._op_counter)
+        op_seed = derive_seed(self.seed, f"corruption:{index}")
         owner = self._presence[node_id][0]
-        self._dispatch_op([(owner, ("corrupt", node_id, op_seed))])
+        self._dispatch_op([(owner, ("corrupt", node_id, op_seed))], index)
 
     def move_node(self, node_id: int, new_position) -> None:
         if not self.network.has_node(node_id):
@@ -1714,8 +1526,19 @@ class ShardedSimulation:
 
     # -- data plane (repro.traffic) --------------------------------------
 
-    def attach_traffic(self, plane_config: Dict[str, Any]) -> None:
-        """Install a forwarding plane on every shard worker."""
+    def attach_traffic(
+        self, plane_config: Dict[str, Any], stream=None
+    ) -> None:
+        """Install a forwarding plane on every shard worker.
+
+        Returns ``None``: the planes live in the shards, and their
+        records come back through :meth:`traffic_records`.
+        """
+        if stream is not None:
+            raise ValueError(
+                "record streaming is in-process only; sharded planes "
+                "live in worker processes"
+            )
         self.start()
         config = dict(plane_config)
         self._dispatch_op(
@@ -1802,18 +1625,12 @@ class ShardedSimulation:
         max_time: float = 100_000.0,
         categories: Optional[Iterable[str]] = None,
     ) -> float:
-        report = self.stabilize(
-            window=window,
-            max_time=max_time,
-            categories=categories,
-            check_invariants=False,
+        from ..core.simulation import STRUCTURE_CHANGE_CATEGORIES, converged_at
+
+        return converged_at(
+            self, window, max_time,
+            STRUCTURE_CHANGE_CATEGORIES if categories is None else categories,
         )
-        if not report.stable:
-            raise TimeoutError(
-                f"structure did not stabilise within {max_time} ticks"
-            )
-        assert report.converged_at is not None
-        return report.converged_at
 
     def stabilize(
         self,
@@ -1825,73 +1642,13 @@ class ShardedSimulation:
         dynamic: bool = True,
         horizon: Optional[float] = None,
     ):
-        """Mirror of ``Gs3Simulation.stabilize`` over the merged run.
+        """``Gs3Simulation.stabilize`` over the merged run: the same
+        module-level loop, on the facade clock, merged tracer and
+        merged snapshot."""
+        from ..core.simulation import STRUCTURE_CHANGE_CATEGORIES, stabilize
 
-        Same window loop, horizon branch, drain break, and invariant
-        check — operating on the merged tracer, the merged snapshot,
-        and the coordinator clock.
-        """
-        from ..core.simulation import (
-            STRUCTURE_CHANGE_CATEGORIES,
-            StabilityReport,
-        )
-
-        self.start()
-        categories = tuple(
-            categories if categories is not None
-            else STRUCTURE_CHANGE_CATEGORIES
-        )
-        stable = False
-        converged_at: Optional[float] = None
-        while self._now < max_time:
-            if horizon is not None and self._now + window > horizon:
-                if self._now < horizon:
-                    self._run(horizon)
-                return StabilityReport(
-                    stable=False,
-                    time=self._now,
-                    converged_at=None,
-                    last_change_category=None,
-                    last_change_time=None,
-                    pending_events=self._pending_events(),
-                    horizon_reached=True,
-                )
-            self._run(self._now + window)
-            last_change = self.tracer.last_time(*categories)
-            if last_change is None or last_change <= self._now - window:
-                stable = True
-                converged_at = (
-                    last_change if last_change is not None else self._now
-                )
-                break
-            if self._next_event_time() is None:
-                stable = True
-                converged_at = last_change
-                break
-        last_category: Optional[str] = None
-        last_time: Optional[float] = None
-        by_category = self.tracer.last_time_by_category
-        for category in categories:
-            t = by_category.get(category)
-            if t is not None and (last_time is None or t > last_time):
-                last_category, last_time = category, t
-        violations: List[str] = []
-        if check_invariants:
-            from ..core.invariants import check_static_invariant
-
-            violations = check_static_invariant(
-                self.snapshot(),
-                self.network,
-                field=field,
-                gap_axials=self.gap_axials(),
-                dynamic=dynamic,
-            )
-        return StabilityReport(
-            stable=stable,
-            time=self._now,
-            converged_at=converged_at,
-            last_change_category=last_category,
-            last_change_time=last_time,
-            pending_events=self._pending_events(),
-            violations=tuple(violations),
+        return stabilize(
+            self, window, max_time,
+            STRUCTURE_CHANGE_CATEGORIES if categories is None else categories,
+            check_invariants, field, dynamic, horizon,
         )

@@ -246,7 +246,10 @@ class RunStore:
     """
 
     MANIFEST = "manifest.json"
-    VERSION = 1
+    #: Version 2: every replicate follows the one lane-keyed event
+    #: order.  Version-1 stores hold unsharded replicates of the retired
+    #: global-sequence order, so they are refused rather than mixed in.
+    VERSION = 2
 
     def __init__(self, root, shard_count: int = 4):
         if shard_count < 1:

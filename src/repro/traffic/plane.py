@@ -21,12 +21,8 @@ Hot-path layout (built for ~10⁵ packets per replicate):
   (pid / holder / ttl / retries / hop / next-fire as parallel arrays
   with slot recycling).  The retry timer is one *shared bound method*
   per plane: every pending retry schedules the same callback object
-  and pops its state from a FIFO, so the scheduler never stores a
-  per-packet ``partial``/closure.  A literal recurring per-sender
-  timer would be cheaper still but changes which keys same-time events
-  claim, breaking byte-identity with the per-event schedule — the FIFO
-  discipline keeps the exact ``(time, key)`` claims of the one-event-
-  per-packet design while sharing one callback.
+  and pops its state from the holder's FIFO, so the scheduler never
+  stores a per-packet ``partial``/closure.
 * Terminal records are ``pid -> (outcome, time)`` — two scalars — and
   can be written through to a
   :class:`~repro.traffic.stream.JsonlRecordStream` in batches so the
@@ -49,7 +45,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
 from ..core.runtime import Gs3Runtime
 from ..geometry import Vec2
 from ..net import NodeId
-from ..net.radio import DATA_LANE_BASE
+from ..sim.engine import DATA_LANE_BASE
 from ..routing.hybrid import DATA_ROUTERS, FORWARD
 from .packets import DataFrame, Packet
 from .stream import HopLog, JsonlRecordStream
@@ -65,9 +61,8 @@ class InFlightTable:
 
     Struct-of-arrays with slot recycling: one row per held packet,
     freed rows are reused, and :meth:`pop` returns the row as a plain
-    tuple.  The plane addresses rows through FIFO queues (per data
-    lane in keyed mode, global otherwise), so the retry callback needs
-    no per-packet binding at all.
+    tuple.  The plane addresses rows through one FIFO queue per holding
+    node, so the retry callback needs no per-packet binding at all.
     """
 
     __slots__ = (
@@ -159,8 +154,8 @@ class ForwardingPlane:
         self.relay_load: Dict[NodeId, int] = {}
         #: Held packets awaiting their retry backoff.
         self.table = InFlightTable()
-        self._fifo: Deque[int] = deque()  # legacy mode: global FIFO
-        self._lane_fifo: Dict[NodeId, Deque[int]] = {}  # keyed mode
+        #: Held rows per holding node, in retry order.
+        self._held: Dict[NodeId, Deque[int]] = {}
         runtime.radio.data_plane = self
 
     # -- Radio integration -------------------------------------------
@@ -306,28 +301,18 @@ class ForwardingPlane:
             frame.packet, node_id, frame.ttl, frame.retries + 1,
             frame.hop, fire_at,
         )
-        if sim.lane_keys:
-            lane = DATA_LANE_BASE + node_id
-            fifo = self._lane_fifo.get(node_id)
-            if fifo is None:
-                fifo = self._lane_fifo[node_id] = deque()
-            fifo.append(row)
-            sim.schedule_keyed(
-                fire_at, sim.claim_key(lane), self._fire_retry_lane, lane=lane
-            )
-        else:
-            self._fifo.append(row)
-            sim.schedule(self.retry_delay, self._fire_retry)
+        fifo = self._held.get(node_id)
+        if fifo is None:
+            fifo = self._held[node_id] = deque()
+        fifo.append(row)
+        lane = DATA_LANE_BASE + node_id
+        sim.schedule_keyed(fire_at, sim.claim_key(lane), self._retry_due, lane)
 
-    def _fire_retry(self) -> None:
-        self._resume_row(self._fifo.popleft())
-
-    def _fire_retry_lane(self) -> None:
+    def _retry_due(self) -> None:
         holder = self.runtime.sim.current_lane - DATA_LANE_BASE
-        self._resume_row(self._lane_fifo[holder].popleft())
-
-    def _resume_row(self, row: int) -> None:
-        packet, holder, ttl, retries, hop = self.table.pop(row)
+        packet, holder, ttl, retries, hop = self.table.pop(
+            self._held[holder].popleft()
+        )
         network = self.runtime.network
         if not (network.has_node(holder) and network.node(holder).alive):
             self._record(packet.pid, "node_died", self.runtime.sim.now)

@@ -39,7 +39,6 @@ from ..sim import RngStreams, campaign_identity, run_campaign
 from ..sim.parallel import ReplicateOutcome
 from .generators import TrafficConfig, generate_workload
 from .packets import Packet
-from .plane import ForwardingPlane
 from .report import TrafficFold, fold_traffic_report, percentile
 from .stream import JsonlRecordStream
 
@@ -61,36 +60,25 @@ def attach_plane(
 ):
     """Attach a forwarding plane to a running simulation.
 
-    Returns the in-process :class:`ForwardingPlane` for the legacy
-    simulation, or ``None`` for the sharded facade (each shard worker
-    then owns its stripe's plane; records come back through
-    ``traffic_records``).
+    Returns the in-process :class:`ForwardingPlane`, or ``None`` for the
+    sharded facade (each shard worker then owns its stripe's plane;
+    records come back through ``traffic_records``).
     """
-    if hasattr(simulation, "attach_traffic"):
-        if stream is not None:
-            raise ValueError(
-                "record streaming is in-process only; sharded planes "
-                "live in worker processes"
-            )
-        simulation.attach_traffic(plane_config)
-        return None
-    return ForwardingPlane(simulation.runtime, plane_config, stream=stream)
+    return simulation.attach_traffic(plane_config, stream=stream)
 
 
 class PacketInjector:
     """Arms packet injections with one shared callback.
 
     Every injection schedules the *same* bound method and pops its unit
-    from a FIFO: scheduling stays one claim per unit in packet order —
-    byte-identical to the old ``partial``-per-packet arming — without a
-    per-packet closure held by the event queue.  Consecutive ``burst``
-    packets sharing a source and creation time form one unit and go
-    through the batched inject/send path.
+    from a FIFO, so the event queue holds no per-packet closure.  Each
+    unit enters as one driver operation (``send_packet``, or
+    ``send_packet_batch`` for consecutive ``burst`` packets sharing a
+    source and creation time).
     """
 
-    def __init__(self, simulation, plane):
+    def __init__(self, simulation):
         self._simulation = simulation
-        self._plane = plane
         self._queue: deque = deque()
 
     def arm(self, packets: Sequence[Packet]) -> None:
@@ -102,16 +90,10 @@ class PacketInjector:
 
     def _fire(self) -> None:
         unit = self._queue.popleft()
-        plane = self._plane
         if len(unit) == 1:
-            if plane is None:
-                self._simulation.send_packet(unit[0])
-            else:
-                plane.inject(unit[0])
-        elif plane is None:
-            self._simulation.send_packet_batch(unit)
+            self._simulation.send_packet(unit[0])
         else:
-            plane.inject_batch(list(unit))
+            self._simulation.send_packet_batch(unit)
 
 
 def _injection_units(packets: Sequence[Packet]) -> List[Tuple[Packet, ...]]:
@@ -138,8 +120,13 @@ def _injection_units(packets: Sequence[Packet]) -> List[Tuple[Packet, ...]]:
 
 
 def schedule_packets(simulation, plane, packets: Sequence[Packet]):
-    """Arm every packet's injection at its creation time."""
-    injector = PacketInjector(simulation, plane)
+    """Arm every packet's injection at its creation time.
+
+    The packets enter through the simulation's own driver operations,
+    which reach ``plane`` (the value :func:`attach_plane` returned) in
+    process or the shard planes in a sharded run.
+    """
+    injector = PacketInjector(simulation)
     injector.arm(packets)
     return injector
 

@@ -91,7 +91,7 @@ class TestGilbertElliott:
             ),
         )
         a, b = Vec2(0, 0), Vec2(1, 0)
-        fates = [model.drop_broadcast(0.0, a, b) for _ in range(6)]
+        fates = [model.drop_broadcast(0.0, a, b, 0) for _ in range(6)]
         assert fates == [False, True, False, True, False, True]
         assert model.loss_drops == 3
 
@@ -103,7 +103,7 @@ class TestGilbertElliott:
             a, b = Vec2(0, 0), Vec2(1, 0)
             longest = run = 0
             for _ in range(n):
-                if model.drop_broadcast(0.0, a, b):
+                if model.drop_broadcast(0.0, a, b, 0):
                     run += 1
                     longest = max(longest, run)
                 else:
@@ -127,11 +127,11 @@ class TestJamWindows:
             JamWindow(start=10.0, end=20.0, center=Vec2(0, 0), radius=50.0)
         )
         inside, outside = Vec2(10, 0), Vec2(500, 0)
-        assert not model.drop_broadcast(5.0, inside, inside)
-        assert model.drop_broadcast(15.0, inside, outside)  # sender jammed
-        assert model.drop_broadcast(15.0, outside, inside)  # receiver jammed
-        assert not model.drop_broadcast(15.0, outside, outside)
-        assert not model.drop_broadcast(20.0, inside, inside)  # end-exclusive
+        assert not model.drop_broadcast(5.0, inside, inside, 0)
+        assert model.drop_broadcast(15.0, inside, outside, 0)  # sender jammed
+        assert model.drop_broadcast(15.0, outside, inside, 0)  # receiver jammed
+        assert not model.drop_broadcast(15.0, outside, outside, 0)
+        assert not model.drop_broadcast(20.0, inside, inside, 0)  # end-exclusive
         assert model.jam_drops == 2
 
     def test_jam_consumes_no_randomness(self):
@@ -148,8 +148,8 @@ class TestJamWindows:
                     )
                 )
                 for _ in range(5):
-                    assert model.drop_broadcast(0.5, a, b)
-            return [model.drop_broadcast(2.0, a, b) for _ in range(40)]
+                    assert model.drop_broadcast(0.5, a, b, 0)
+            return [model.drop_broadcast(2.0, a, b, 0) for _ in range(40)]
 
         assert pattern(jammed=True) == pattern(jammed=False)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.geometry import Vec2
-from repro.net import ChannelManager, Network, Radio
+from repro.net import LocalChannel, Network, Radio
 from repro.sim import RngStreams, Simulator, Tracer
 
 
@@ -162,9 +162,11 @@ class TestUnicast:
 
 
 class TestChannelManager:
+    """HEAD_ORG reservations with the mediator on the same simulator."""
+
     def test_grant_when_free(self):
         sim = Simulator()
-        manager = ChannelManager(sim)
+        manager = LocalChannel(sim, 1.0)
         granted = []
         manager.request(1, Vec2(0, 0), 10.0, lambda lease: granted.append(1))
         sim.run()
@@ -172,7 +174,7 @@ class TestChannelManager:
 
     def test_conflicting_request_waits(self):
         sim = Simulator()
-        manager = ChannelManager(sim)
+        manager = LocalChannel(sim, 1.0)
         order = []
         first_leases = []
 
@@ -190,17 +192,19 @@ class TestChannelManager:
 
     def test_non_conflicting_requests_run_concurrently(self):
         sim = Simulator()
-        manager = ChannelManager(sim)
+        manager = LocalChannel(sim, 1.0)
         granted = []
-        manager.request(1, Vec2(0, 0), 10.0, lambda l: granted.append(1))
-        manager.request(2, Vec2(100, 0), 10.0, lambda l: granted.append(2))
+        leases = [
+            manager.request(1, Vec2(0, 0), 10.0, lambda l: granted.append(1)),
+            manager.request(2, Vec2(100, 0), 10.0, lambda l: granted.append(2)),
+        ]
         sim.run()
         assert sorted(granted) == [1, 2]
-        assert manager.active_count == 2
+        assert all(lease.active for lease in leases)
 
     def test_cancel_before_grant(self):
         sim = Simulator()
-        manager = ChannelManager(sim)
+        manager = LocalChannel(sim, 1.0)
         granted = []
         blocker_leases = []
         manager.request(
@@ -214,21 +218,26 @@ class TestChannelManager:
         manager.release(blocker_leases[0])
         sim.run()
         assert granted == []
-        assert manager.active_count == 0
+        assert not waiting.active and not blocker_leases[0].active
 
     def test_release_idempotent(self):
         sim = Simulator()
-        manager = ChannelManager(sim)
+        manager = LocalChannel(sim, 1.0)
         leases = []
         manager.request(1, Vec2(0, 0), 10.0, leases.append)
         sim.run()
         manager.release(leases[0])
         manager.release(leases[0])
-        assert manager.active_count == 0
+        sim.run()
+        assert leases[0].released and not leases[0].active
+        # The second release sent nothing: a new request is granted.
+        manager.request(2, Vec2(0, 0), 10.0, leases.append)
+        sim.run()
+        assert len(leases) == 2 and leases[1].active
 
     def test_fifo_among_conflicting(self):
         sim = Simulator()
-        manager = ChannelManager(sim)
+        manager = LocalChannel(sim, 1.0)
         order = []
         leases = {}
 
@@ -249,14 +258,26 @@ class TestChannelManager:
         sim.run()
         assert order == ["a", "b", "c"]
 
-    def test_holder_near(self):
+    def test_grants_take_effect_one_lookahead_later(self):
+        """Request at t, grant at t + lookahead; a release frees the
+        next lease one lookahead after it is made, keyed in the channel
+        lane."""
         sim = Simulator()
-        manager = ChannelManager(sim)
-        manager.request(7, Vec2(0, 0), 10.0, lambda l: None)
-        sim.run()
-        assert manager.holder_near(Vec2(15, 0), 10.0) == 7
-        assert manager.holder_near(Vec2(100, 0), 10.0) is None
+        manager = LocalChannel(sim, 2.0)
+        times = []
+        leases = []
 
+        def on_grant(lease):
+            times.append(sim.now)
+            leases.append(lease)
+
+        manager.request(1, Vec2(0, 0), 10.0, on_grant)
+        manager.request(2, Vec2(1, 0), 10.0, on_grant)
+        sim.run()
+        assert times == [2.0]
+        sim.schedule(3.0, lambda: manager.release(leases[0]))
+        sim.run()
+        assert times == [2.0, 7.0]
 
 class _RecordingPlane:
     """Claims every payload; records (time, payload, dest, sender)."""

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import PeriodicTimer, RngStreams, SimulationError, Simulator
+from repro.sim.engine import DRIVER_BASE
 
 
 class TestScheduling:
@@ -64,6 +65,38 @@ class TestScheduling:
         sim.run()
         assert order == ["first", "second"]
         assert sim.now == 2.0
+
+
+class TestLanes:
+    def test_equal_times_run_in_lane_order(self):
+        sim = Simulator()
+        order = []
+        for lane in (7, 2, 5):
+            sim.set_lane(lane)
+            sim.schedule(1.0, lambda lane=lane: order.append(lane))
+        sim.run()
+        assert order == [2, 5, 7]
+
+    def test_apply_runs_after_due_events_and_drains_follow_ups(self):
+        """A driver op runs after the events due now (bar externally
+        armed callbacks) and its same-time follow-ups finish before
+        ``apply`` returns."""
+        sim = Simulator()
+        order = []
+        sim.schedule(0.0, lambda: order.append("external"))
+        previous = sim.set_lane(3)
+        sim.schedule(0.0, lambda: order.append("node"))
+        sim.set_lane(previous)
+
+        def operation():
+            order.append("op")
+            sim.schedule(0.0, lambda: order.append("follow-up"))
+            return 42
+
+        assert sim.apply(DRIVER_BASE, operation) == 42
+        assert order == ["node", "op", "follow-up"]
+        sim.run()
+        assert order == ["node", "op", "follow-up", "external"]
 
 
 class TestCancellation:

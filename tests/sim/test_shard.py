@@ -1,12 +1,9 @@
 """Sharded execution: the byte-identity differential suite.
 
 The contract under test (DESIGN.md § 9): a run at ``shards=N`` is
-byte-identical to ``shards=1`` — same ``state_digest``, same trace
-multiset, same scenario/chaos verdicts — for every N and for both the
-inline and process-pool executors.  Identity is *mode-relative*: the
-lane-keyed sharded trajectory is internally consistent across shard
-counts but deliberately distinct from the legacy single-simulator
-path, which these tests never compare against.
+byte-identical to the unsharded in-process run — same
+``state_digest``, same trace multiset, same scenario/chaos verdicts —
+for every N and for both the inline and process-pool executors.
 """
 
 import json
@@ -16,10 +13,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import Gs3DynamicSimulation
 from repro.core.config import GS3Config
 from repro.geometry import HexLattice, Vec2
+from repro.net import deployment_from_spec
 from repro.net.faults import ChannelFaultConfig
 from repro.sim import RngStreams, state_digest
+from repro.sim.engine import (
+    CHANNEL_LANE,
+    DATA_LANE_BASE,
+    DRIVER_BASE,
+    EXTERNAL_LANE,
+)
 from repro.sim.shard import (
     ShardedSimulation,
     ShardError,
@@ -73,7 +78,20 @@ def _drive(sim, perturb=True):
     return _fingerprint(sim)
 
 
+def _unsharded(spec, seed, channel=None):
+    """The in-process run a ``ShardedSimulation`` must reproduce."""
+    return Gs3DynamicSimulation.from_deployment(
+        deployment_from_spec(spec, RngStreams(seed)),
+        CONFIG,
+        seed=seed,
+        channel_faults=channel,
+    )
+
+
 def _run(shards, executor="inline", channel=None, seed=7, perturb=True):
+    """Drive one run; ``shards=None`` is the unsharded in-process run."""
+    if shards is None:
+        return _drive(_unsharded(DEPLOYMENT, seed, channel), perturb)
     sim = ShardedSimulation(
         DEPLOYMENT,
         CONFIG,
@@ -90,7 +108,8 @@ def _run(shards, executor="inline", channel=None, seed=7, perturb=True):
 
 class TestByteIdentity:
     def test_shard_counts_agree_inline(self):
-        baseline = _run(1)
+        baseline = _run(None)
+        assert _run(1) == baseline
         assert _run(2) == baseline
         assert _run(4) == baseline
 
@@ -101,11 +120,14 @@ class TestByteIdentity:
         channel = ChannelFaultConfig.from_dict(
             {"latency_jitter": 0.3, "duplicate_prob": 0.02}
         )
-        baseline = _run(1, channel=channel)
+        baseline = _run(None, channel=channel)
+        assert _run(1, channel=channel) == baseline
+        assert _run(2, channel=channel) == baseline
         assert _run(4, channel=channel) == baseline
 
     def test_identity_without_perturbations(self):
-        baseline = _run(1, perturb=False)
+        baseline = _run(None, perturb=False)
+        assert _run(1, perturb=False) == baseline
         assert _run(2, perturb=False) == baseline
 
     def test_different_seeds_diverge(self):
@@ -130,7 +152,8 @@ class TestByteIdentityRandomized:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_random_topology_and_churn(self, seed, n_nodes, shards, churn):
-        """Random deployments and churn sequences: N shards == 1 shard."""
+        """Random deployments and churn sequences: N shards == 1 shard
+        == the unsharded run."""
         spec = {
             "kind": "uniform",
             "field_radius": 160.0,
@@ -138,8 +161,12 @@ class TestByteIdentityRandomized:
         }
 
         def campaign(n):
-            sim = ShardedSimulation(
-                spec, CONFIG, seed=seed, shards=n, executor="inline"
+            sim = (
+                _unsharded(spec, seed)
+                if n is None
+                else ShardedSimulation(
+                    spec, CONFIG, seed=seed, shards=n, executor="inline"
+                )
             )
             try:
                 sim.start()
@@ -178,9 +205,11 @@ class TestByteIdentityRandomized:
                     sim.run_for(40.0)
                 return _fingerprint(sim)
             finally:
-                sim.close()
+                getattr(sim, "close", lambda: None)()
 
-        assert campaign(shards) == campaign(1)
+        baseline = campaign(None)
+        assert campaign(1) == baseline
+        assert campaign(shards) == baseline
 
 
 class TestScenarioAndChaosWiring:
@@ -198,14 +227,15 @@ class TestScenarioAndChaosWiring:
             ],
         }
         payloads = {}
-        for shards in (1, 4):
+        for shards in (None, 1, 4):
             d = dict(data)
-            d["shards"] = shards
+            if shards is not None:
+                d["shards"] = shards
             payloads[shards] = json.dumps(
                 run_scenario_replicate({"data": d, "seed": 7}),
                 sort_keys=True,
             )
-        assert payloads[1] == payloads[4]
+        assert payloads[None] == payloads[1] == payloads[4]
 
     def test_chaos_verdict_identical_and_heals(self):
         from repro.perturb.chaos import run_chaos_replicate
@@ -225,12 +255,13 @@ class TestScenarioAndChaosWiring:
             },
         }
         verdicts = {}
-        for shards in (1, 4):
+        for shards in (None, 1, 4):
             d = dict(data)
-            d["shards"] = shards
+            if shards is not None:
+                d["shards"] = shards
             verdicts[shards] = run_chaos_replicate({"data": d, "seed": 11})
-        assert verdicts[1] == verdicts[4]
-        assert verdicts[1]["healed"]
+        assert verdicts[None] == verdicts[1] == verdicts[4]
+        assert verdicts[None]["healed"]
 
     def test_shard_executor_never_in_scenario_digest(self):
         from repro.scenario import Scenario
@@ -245,11 +276,14 @@ class TestScenarioAndChaosWiring:
         inline = Scenario.from_dict(dict(base, shard_executor="inline"))
         process = Scenario.from_dict(dict(base, shard_executor="process"))
         assert inline.canonical_digest() == process.canonical_digest()
-        # ... but the shard count itself IS part of the identity.
+        # ... and neither is the shard count: every shard count runs
+        # the unsharded trajectory.
         unsharded = Scenario.from_dict(
             {k: v for k, v in base.items() if k != "shards"}
         )
-        assert unsharded.canonical_digest() != inline.canonical_digest()
+        assert unsharded.canonical_digest() == inline.canonical_digest()
+        four = Scenario.from_dict(dict(base, shards=4))
+        assert four.canonical_digest() == inline.canonical_digest()
 
     def test_mobile_scenario_rejected(self):
         from repro.scenario import Scenario
@@ -307,6 +341,21 @@ class TestUnsupportedOperations:
                 sim.attach_energy()
         finally:
             sim.close()
+
+
+class TestLaneNamespaces:
+    def test_namespaces_pairwise_disjoint(self):
+        """Node, data, channel, driver and external lanes never meet,
+        for every node id below the data base (and their order is the
+        documented one)."""
+        node = (0, DATA_LANE_BASE - 1)
+        data = (DATA_LANE_BASE, DATA_LANE_BASE + DATA_LANE_BASE - 1)
+        channel = (CHANNEL_LANE, CHANNEL_LANE)
+        driver = (DRIVER_BASE, EXTERNAL_LANE - 1)
+        external = (EXTERNAL_LANE, EXTERNAL_LANE)
+        ranges = [node, data, channel, driver, external]
+        for lower, upper in zip(ranges, ranges[1:]):
+            assert lower[0] <= lower[1] < upper[0] <= upper[1]
 
 
 class TestPlanPartition:

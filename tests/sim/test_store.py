@@ -158,6 +158,15 @@ class TestRunStore:
         with pytest.raises(RunStoreError, match="version"):
             RunStore(tmp_path)
 
+    def test_rejects_version_1_manifest(self, tmp_path):
+        """Stores written before the single event order hold unsharded
+        replicates of the retired order: refused, never served."""
+        (tmp_path / RunStore.MANIFEST).write_text(
+            json.dumps({"version": 1, "runs": {}}), "utf-8"
+        )
+        with pytest.raises(RunStoreError, match="manifest version 1"):
+            RunStore(tmp_path)
+
     def test_sharding_never_loses_records(self, tmp_path):
         store = RunStore(tmp_path, shard_count=3)
         seeds = list(range(20))

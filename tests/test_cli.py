@@ -611,6 +611,31 @@ class TestCampaignDriver:
         assert "cached: 1/1" in out
         assert reports[0] == reports[1]
 
+    def test_shard_count_never_forks_the_run_identity(
+        self, tmp_path, capsys
+    ):
+        """Unsharded and sharded runs are one trajectory: a campaign
+        stored unsharded resumes at ``--shards 2``, byte-identical."""
+        campaign_path = tmp_path / "campaign.json"
+        campaign_path.write_text(json.dumps(self.CAMPAIGN))
+        store = tmp_path / "runs"
+        reports = []
+        for extra in ([], ["--shards", "2", "--resume"]):
+            report = tmp_path / f"report{len(reports)}.json"
+            code = main(
+                [
+                    "chaos", str(campaign_path), "--campaigns", "1",
+                    "--workers", "0", "--store", str(store),
+                    "--json", str(report), *extra,
+                ]
+            )
+            assert code == 0
+            reports.append(report.read_bytes())
+        out = capsys.readouterr().out
+        assert "cached: 0/1" in out
+        assert "cached: 1/1" in out
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -635,6 +660,91 @@ class TestCampaignDriver:
         assert code == 2
         assert out.startswith("error: ")
         assert message in out
+        assert out.count("\n") == 1
+
+
+class TestMalformedInput:
+    """A bad input file ends in one ``error: <path>: …`` line, exit 2."""
+
+    SCENARIO = {
+        "seed": 3,
+        "config": {"ideal_radius": 100.0, "radius_tolerance": 25.0},
+        "deployment": {"kind": "uniform", "field_radius": 120.0,
+                       "n_nodes": 60},
+        "perturbations": [],
+        "traffic": {"duration": 10.0, "flows": {"rate": 0.1}},
+    }
+
+    COMMANDS = [
+        ["scenario"],
+        ["replay", "--at", "10"],
+        ["bisect", "--t-max", "10"],
+        ["sweep", "--workers", "0"],
+        ["chaos", "--workers", "0"],
+        ["traffic", "--workers", "0"],
+    ]
+
+    def _run(self, tmp_path, capsys, command, text):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        code = main([command[0], str(path), *command[1:]])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith(f"error: {path}: ")
+        assert out.count("\n") == 1
+        return out
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_trailing_comma(self, tmp_path, capsys, command):
+        text = json.dumps(self.SCENARIO)[:-1] + ",}"
+        self._run(tmp_path, capsys, command, text)
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_unknown_perturbation_kind(self, tmp_path, capsys, command):
+        data = dict(self.SCENARIO, perturbations=[{"kind": "zap", "at": 1}])
+        out = self._run(tmp_path, capsys, command, json.dumps(data))
+        assert "unknown perturbation kind 'zap'" in out
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_missing_file(self, tmp_path, capsys, command):
+        path = tmp_path / "absent.json"
+        code = main([command[0], str(path), *command[1:]])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("command", COMMANDS[3:], ids=lambda c: c[0])
+    def test_bad_chaos_block_rejected_before_any_replicate(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        import repro.sim
+
+        started = []
+        monkeypatch.setattr(
+            repro.sim, "run_campaign", lambda *a, **k: started.append(1)
+        )
+        data = dict(self.SCENARIO, chaos={"kil_rate": 0.01})
+        count = "--campaigns" if command[0] == "chaos" else "--replicates"
+        out = self._run(
+            tmp_path, capsys, command + [count, "2"], json.dumps(data)
+        )
+        assert "unknown chaos keys" in out
+        assert started == []
+
+    def test_version_1_store_rejected(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(self.SCENARIO))
+        store = tmp_path / "runs"
+        store.mkdir()
+        (store / "manifest.json").write_text(
+            json.dumps({"version": 1, "runs": {}})
+        )
+        code = main(
+            ["sweep", str(path), "--workers", "0", "--store", str(store)]
+        )
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith("error: ") and "manifest version 1" in out
         assert out.count("\n") == 1
 
 

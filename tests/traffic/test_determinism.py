@@ -1,4 +1,5 @@
-"""Traffic determinism: byte-identical at every worker/shard count."""
+"""Traffic determinism: byte-identical at every worker/shard count,
+and unsharded."""
 
 import json
 
@@ -41,13 +42,14 @@ class TestShardInvariance:
     @pytest.mark.slow
     def test_shard_count_does_not_change_report(self):
         results = {}
-        for shards in (1, 2, 4):
+        for shards in (None, 1, 2, 4):
             data = dict(BASE)
-            data["shards"] = shards
+            if shards is not None:
+                data["shards"] = shards
             results[shards] = _canon(
                 run_traffic_replicate({"data": data, "seed": 31})
             )
-        assert results[1] == results[2] == results[4]
+        assert results[None] == results[1] == results[2] == results[4]
 
     def test_repeat_run_is_byte_identical(self):
         data = dict(BASE)
@@ -104,11 +106,12 @@ class TestVolumeDeterminism:
     @pytest.mark.slow
     def test_shards_invariant_at_volume(self):
         results = {}
-        for shards in (1, 2, 4):
+        for shards in (None, 1, 2, 4):
             data = dict(VOLUME)
-            data["shards"] = shards
+            if shards is not None:
+                data["shards"] = shards
             results[shards] = _canon(
                 run_traffic_replicate({"data": data, "seed": 91})
             )
-        assert results[1] == results[2] == results[4]
-        assert json.loads(results[1])["generated"] >= 10_000
+        assert results[None] == results[1] == results[2] == results[4]
+        assert json.loads(results[None])["generated"] >= 10_000
