@@ -1012,7 +1012,10 @@ def _load_input(path: str, parse):
 
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse(_json.load(handle))
+            data = _json.load(handle)
+        if not isinstance(data, dict):
+            raise _BadInput(f"{path}: expected a JSON object")
+        return parse(data)
     except KeyError as exc:
         raise _BadInput(f"{path}: missing key {exc}") from None
     except (OSError, ValueError, TypeError) as exc:

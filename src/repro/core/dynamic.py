@@ -253,13 +253,19 @@ class Gs3DynamicSimulation(Gs3Simulation):
 
         def drain_all() -> None:
             assert self.energy is not None
-            for node in list(self.network.alive_nodes()):
-                if node.is_big:
-                    continue  # the big node is mains-powered
-                role = self._role_of(node.node_id)
-                if self.energy.drain_role(node.node_id, role, dt=interval):
-                    self.kill_node(node.node_id)
-                    self.runtime.trace("perturb.death", node.node_id)
+            # Every node drains on the roles of one instant; the deaths
+            # follow as driver operations.
+            dead = [
+                node.node_id
+                for node in list(self.network.alive_nodes())
+                if not node.is_big  # the big node is mains-powered
+                and self.energy.drain_role(
+                    node.node_id, self._role_of(node.node_id), dt=interval
+                )
+            ]
+            for node_id in dead:
+                self.kill_node(node_id)
+                self.runtime.trace("perturb.death", node_id)
 
         self._energy_timer = PeriodicTimer(
             self.runtime.sim, interval, drain_all

@@ -361,9 +361,7 @@ class ChannelFaultModel:
         ge = self.gilbert_elliott
         if ge is None and not self.bernoulli_loss:
             return False
-        channel = (
-            self._sender_channels.get(sender) or self._channel_for(sender)
-        )
+        channel = self._channel_for(sender)
         if ge is not None:
             rng = channel.loss_rng
             loss = ge.loss_bad if channel._in_burst else ge.loss_good
@@ -446,18 +444,14 @@ class ChannelFaultModel:
     def extra_latency(self, sender: Any) -> float:
         """Per-delivery latency jitter, uniform on ``[0, latency_jitter]``."""
         if self.latency_jitter:
-            channel = (
-                self._sender_channels.get(sender) or self._channel_for(sender)
-            )
+            channel = self._channel_for(sender)
             return channel.jitter_rng.uniform(0.0, self.latency_jitter)
         return 0.0
 
     def extra_copies(self, sender: Any) -> int:
         """How many duplicate frames to deliver on top of the original."""
         if self.duplicate_prob:
-            channel = (
-                self._sender_channels.get(sender) or self._channel_for(sender)
-            )
+            channel = self._channel_for(sender)
             if channel.dup_rng.random() < self.duplicate_prob:
                 self.duplicates_sent += 1
                 return 1

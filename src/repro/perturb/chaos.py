@@ -98,6 +98,8 @@ class ChaosConfig:
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "ChaosConfig":
         """Parse a ``chaos`` block, rejecting unknown keys loudly."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a chaos block is an object, got {data!r}")
         known = {f for f in ChaosConfig.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:

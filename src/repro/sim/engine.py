@@ -289,8 +289,8 @@ class Simulator:
         from outside the run loop or from a callback armed outside;
         ``lane`` must be fresh (a driver lane nothing else uses).
         """
-        self._run_due()
         previous = self._lane
+        self._run_due()
         self._lane = lane
         try:
             result = operation()
@@ -469,11 +469,14 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event.
 
+        The current lane is restored on return, as in :meth:`run`.
+
         Returns:
             ``True`` if an event was executed, ``False`` if the queue
             was empty.
         """
         queue = self._queue
+        entry_lane = self._lane
         while True:
             wheel_min = self._wheel_min
             if queue:
@@ -505,11 +508,18 @@ class Simulator:
                     "likely a runaway protocol loop"
                 )
             self._lane = event.lane
-            event.callback()
+            try:
+                event.callback()
+            finally:
+                self._lane = entry_lane
             return True
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queues drain or virtual time passes ``until``.
+
+        The current lane is restored on return: events run in their own
+        lanes, and whatever the caller schedules afterwards still claims
+        from the lane it had (outside any event, :data:`EXTERNAL_LANE`).
 
         Returns:
             The virtual time when the run stopped.
@@ -517,6 +527,7 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
+        entry_lane = self._lane
         queue = self._queue
         pop = heapq.heappop
         max_events = self._max_events
@@ -573,6 +584,7 @@ class Simulator:
                 event.callback()
         finally:
             self._running = False
+            self._lane = entry_lane
         if (
             until is not None
             and self._now < until

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import PeriodicTimer, RngStreams, SimulationError, Simulator
-from repro.sim.engine import DRIVER_BASE
+from repro.sim.engine import DRIVER_BASE, EXTERNAL_LANE
 
 
 class TestScheduling:
@@ -97,6 +97,44 @@ class TestLanes:
         assert order == ["node", "op", "follow-up"]
         sim.run()
         assert order == ["node", "op", "follow-up", "external"]
+
+    def test_run_and_step_restore_the_callers_lane(self):
+        """Events run in their own lanes, but a caller scheduling after
+        ``run``/``step`` still claims from its own lane."""
+        sim = Simulator()
+        previous = sim.set_lane(3)
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        sim.set_lane(previous)
+        sim.step()
+        assert sim.current_lane == EXTERNAL_LANE
+        sim.run()
+        assert sim.current_lane == EXTERNAL_LANE
+
+    def test_same_time_driver_ops_run_in_arming_order(self):
+        """Two callbacks armed outside any event at one instant each
+        apply an op; the first op and its follow-ups finish before the
+        second op starts."""
+        sim = Simulator()
+        previous = sim.set_lane(3)
+        sim.schedule(5.0, lambda: None)
+        sim.set_lane(previous)
+        sim.run(until=5.0)
+        order = []
+
+        def arm(name, lane):
+            def operation():
+                order.append(name)
+                sim.schedule(0.0, lambda: order.append(name + " follow-up"))
+
+            sim.schedule_at(10.0, lambda: sim.apply(lane, operation))
+
+        arm("first", DRIVER_BASE)
+        arm("second", DRIVER_BASE + 1)
+        sim.run()
+        assert order == [
+            "first", "first follow-up", "second", "second follow-up"
+        ]
 
 
 class TestCancellation:

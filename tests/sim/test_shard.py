@@ -212,6 +212,52 @@ class TestByteIdentityRandomized:
         assert campaign(shards) == baseline
 
 
+class TestSameTimeInjections:
+    """Injector events armed at one instant after a run apply in
+    arming order, unsharded and sharded alike."""
+
+    def _campaign(self, shards):
+        from repro.perturb.events import NodeJoin, NodeLeave, NodeRejoin
+        from repro.perturb.injector import PerturbationInjector
+
+        sim = (
+            _unsharded(DEPLOYMENT, 7)
+            if shards is None
+            else ShardedSimulation(
+                DEPLOYMENT, CONFIG, seed=7, shards=shards, executor="inline"
+            )
+        )
+        try:
+            sim.start()
+            sim.run_for(160.0)
+            victim = next(
+                n.node_id for n in sim.network.alive_nodes() if not n.is_big
+            )
+            first_id = max(sim.network.node_ids()) + 1
+            t = sim.now + 10.0
+            PerturbationInjector(sim).schedule(
+                [
+                    NodeLeave(time=t, node_id=victim),
+                    NodeRejoin(time=t, node_id=victim),
+                    NodeJoin(time=t + 5.0, position=Vec2(-40.0, 55.0)),
+                    NodeJoin(time=t + 5.0, position=Vec2(40.0, -55.0)),
+                ]
+            )
+            sim.run_for(100.0)
+            assert sim.network.node(victim).alive
+            assert sim.network.node(first_id).position == Vec2(-40.0, 55.0)
+            assert sim.network.node(first_id + 1).position == Vec2(
+                40.0, -55.0
+            )
+            return _fingerprint(sim)
+        finally:
+            getattr(sim, "close", lambda: None)()
+
+    def test_arming_order_and_identity(self):
+        baseline = self._campaign(None)
+        assert self._campaign(2) == baseline
+
+
 class TestScenarioAndChaosWiring:
     def test_scenario_replicate_identical_across_shards(self):
         from repro.scenario import run_scenario_replicate

@@ -706,6 +706,11 @@ class TestMalformedInput:
         assert "unknown perturbation kind 'zap'" in out
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    def test_top_level_not_an_object(self, tmp_path, capsys, command):
+        out = self._run(tmp_path, capsys, command, "[]")
+        assert "expected a JSON object" in out
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     def test_missing_file(self, tmp_path, capsys, command):
         path = tmp_path / "absent.json"
         code = main([command[0], str(path), *command[1:]])
@@ -714,8 +719,13 @@ class TestMalformedInput:
         assert out.startswith(f"error: {path}: ")
 
     @pytest.mark.parametrize("command", COMMANDS[3:], ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "block, message",
+        [({"kil_rate": 0.01}, "unknown chaos keys"), ([], "is an object")],
+        ids=["typo", "list"],
+    )
     def test_bad_chaos_block_rejected_before_any_replicate(
-        self, tmp_path, capsys, monkeypatch, command
+        self, tmp_path, capsys, monkeypatch, command, block, message
     ):
         import repro.sim
 
@@ -723,12 +733,12 @@ class TestMalformedInput:
         monkeypatch.setattr(
             repro.sim, "run_campaign", lambda *a, **k: started.append(1)
         )
-        data = dict(self.SCENARIO, chaos={"kil_rate": 0.01})
+        data = dict(self.SCENARIO, chaos=block)
         count = "--campaigns" if command[0] == "chaos" else "--replicates"
         out = self._run(
             tmp_path, capsys, command + [count, "2"], json.dumps(data)
         )
-        assert "unknown chaos keys" in out
+        assert message in out
         assert started == []
 
     def test_version_1_store_rejected(self, tmp_path, capsys):
