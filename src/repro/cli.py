@@ -90,7 +90,7 @@ from .core import (
 )
 from .geometry import Vec2
 from .net import uniform_disk
-from .sim import RngStreams
+from .sim import RngStreams, ShardError
 
 __all__ = ["main", "build_parser"]
 
@@ -1216,7 +1216,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except _BadInput as exc:
+    except (_BadInput, ShardError) as exc:
+        # A bad input file, or an operation a sharded run refuses.
         print(f"error: {exc}")
         return 2
 

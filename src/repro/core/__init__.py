@@ -1,7 +1,8 @@
 """GS3 core: the protocols (S/D/M), their state, and their oracles."""
 
 from .config import GS3Config
-from .dynamic import Gs3DynamicSimulation, default_corruption
+from .driver_ops import default_corruption
+from .dynamic import Gs3DynamicSimulation
 from .gs3d import Gs3DynamicNode
 from .gs3m import Gs3MobileNode
 from .gs3s import Gs3StaticNode, KnownHead

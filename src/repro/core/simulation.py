@@ -18,16 +18,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
-    Callable,
     Dict,
     Iterable,
     List,
     Optional,
     Tuple,
     Type,
-    TypeVar,
 )
 
 from ..geometry import Disk
@@ -35,6 +34,7 @@ from ..net import ChannelFaultConfig, Deployment, Network
 from ..sim import Tracer
 from ..sim.engine import DRIVER_BASE
 from .config import GS3Config
+from .driver_ops import DRIVER_OPS, PacketOps
 from .gs3s import Gs3StaticNode
 from .runtime import Gs3Runtime
 from .snapshot import StructureSnapshot, take_snapshot
@@ -46,8 +46,6 @@ __all__ = [
     "converged_at",
     "stabilize",
 ]
-
-_T = TypeVar("_T")
 
 #: Trace categories that indicate the head-level structure changed.
 #: ``run_until_stable`` declares convergence when none of these have
@@ -249,16 +247,17 @@ def converged_at(
     return report.converged_at
 
 
-class Gs3Simulation:
+class Gs3Simulation(PacketOps):
     """One protocol run: network + runtime + node programs.
 
     Drivers act on a run only through *driver operations* (perturbations
     in :class:`~repro.core.dynamic.Gs3DynamicSimulation`, packet
-    injections here).  Operation ``k`` runs in its own lane
-    ``DRIVER_BASE + k``, after every event due at its time, and its
-    same-time follow-ups finish before the next operation starts — the
-    rule a sharded run's coordinator follows too, which is what makes
-    the two trajectories one.
+    injections here), from the one table in
+    :mod:`~repro.core.driver_ops`.  Operation ``k`` runs on this run's
+    runtime in its own lane ``DRIVER_BASE + k``, after every event due
+    at its time, and its same-time follow-ups finish before the next
+    operation starts — the rule a sharded run's coordinator follows
+    too, which is what makes the two trajectories one.
     """
 
     def __init__(
@@ -327,17 +326,13 @@ class Gs3Simulation:
             self.runtime.nodes[node_id].start()
         sim.set_lane(previous)
 
-    def _apply(
-        self, operation: Callable[[], _T], index: Optional[int] = None
-    ) -> _T:
-        """Run one driver operation (see the class docstring).
-
-        ``index`` is the operation's number when the caller drew it
-        already (it seeds the operation's randomness).
-        """
-        if index is None:
-            index = next(self._driver_ops)
-        return self.runtime.sim.apply(DRIVER_BASE + index, operation)
+    def _drive(self, kind: str, desc: tuple) -> Any:
+        """Run driver op ``kind`` as the next operation (see the class
+        docstring); returns the op's result."""
+        lane = DRIVER_BASE + next(self._driver_ops)
+        return self.runtime.sim.apply(
+            lane, partial(DRIVER_OPS[kind], self, desc)
+        )
 
     def run_to_quiescence(self, max_time: Optional[float] = None) -> float:
         """Run until the event queue drains (or ``max_time``).
@@ -389,32 +384,6 @@ class Gs3Simulation:
         return stabilize(
             self, window, max_time, categories, check_invariants, field,
             dynamic, horizon,
-        )
-
-    # -- data plane (repro.traffic) ------------------------------------------
-
-    def attach_traffic(self, plane_config: Dict[str, Any], stream=None):
-        """Attach a forwarding plane (a driver operation); returns it.
-
-        ``stream`` optionally spills the plane's records to a
-        :class:`~repro.traffic.stream.JsonlRecordStream`.
-        """
-        from ..traffic.plane import ForwardingPlane
-
-        return self._apply(
-            lambda: ForwardingPlane(
-                self.runtime, dict(plane_config), stream=stream
-            )
-        )
-
-    def send_packet(self, packet) -> None:
-        """Originate a data packet at its source, now."""
-        self._apply(lambda: self.runtime.radio.data_plane.inject(packet))
-
-    def send_packet_batch(self, packets) -> None:
-        """Originate a same-source packet batch in one driver operation."""
-        self._apply(
-            lambda: self.runtime.radio.data_plane.inject_batch(list(packets))
         )
 
     # -- observation -------------------------------------------------------------

@@ -34,7 +34,8 @@ Determinism contract (pinned by ``tests/sim/test_shard.py``):
 * Driver operations (perturbations, packet injections) run at epoch
   barriers, op ``k`` in lane ``DRIVER_BASE + k`` after every event at
   its time, with its same-time follow-ups finishing before op ``k+1``
-  — the in-process driver's rule (:meth:`Simulator.apply`).
+  — the in-process driver's rule (:meth:`Simulator.apply`).  Both
+  drivers run the ops of one table (:mod:`repro.core.driver_ops`).
 
 Only nodes within ``max_range`` of a region border are mirrored into
 the neighbouring shards' ``Network`` views; mirrors carry physical
@@ -60,6 +61,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from ..core.driver_ops import (
+    DRIVER_OPS,
+    PacketOps,
+    PerturbationOps,
+    default_corruption,
+)
 from .engine import DRIVER_BASE, SimulationError, Simulator
 from .rng import RngStreams, derive_seed
 from .supervise import (
@@ -182,16 +189,20 @@ def plan_partition(lattice, positions: Sequence, shards: int,
 
 
 class _ShardPort:
-    """Radio port: decides delivery locality, collects cross traffic."""
+    """Radio port: decides delivery locality, collects cross traffic.
 
-    __slots__ = ("owned", "outbox")
+    A delivery is local when the shard runs the receiver's program
+    (``nodes`` is the runtime's program table).
+    """
 
-    def __init__(self, owned: Set[int], outbox: List[tuple]):
-        self.owned = owned
+    __slots__ = ("nodes", "outbox")
+
+    def __init__(self, nodes: Dict[int, Any], outbox: List[tuple]):
+        self.nodes = nodes
         self.outbox = outbox
 
     def is_local(self, dest_id: int) -> bool:
-        return dest_id in self.owned
+        return dest_id in self.nodes
 
     def send_delivery(self, arrival, key, sender_id, dest_id, payload):
         self.outbox.append(
@@ -253,7 +264,6 @@ class ShardWorker:
         for node_id in network.node_ids():
             if node_id not in keep:
                 network.remove_node(node_id)
-        self.owned: Set[int] = set(spec.owned)
         self.outbox: List[tuple] = []
         sim = Simulator()
         if spec.max_events is not None:
@@ -271,7 +281,6 @@ class ShardWorker:
                 spec.channel.build(rng) if spec.channel is not None else None
             ),
         )
-        radio.shard_port = _ShardPort(self.owned, self.outbox)
         self.channel = ChannelReservations(sim, self.outbox.append)
         lattice = HexLattice(
             origin=deployment.big_position,
@@ -288,10 +297,10 @@ class ShardWorker:
             rng=rng,
             lattice=lattice,
         )
+        radio.shard_port = _ShardPort(self.runtime.nodes, self.outbox)
         self.sim = sim
         self._started = False
-        self.plane = None  # data-plane forwarding (repro.traffic)
-        for node_id in sorted(self.owned):
+        for node_id in sorted(spec.owned):
             self.node_class(self.runtime, node_id)
 
     # -- lifecycle ------------------------------------------------------
@@ -315,12 +324,13 @@ class ShardWorker:
         return self._drain()
 
     def apply_ops(
-        self, ops: Sequence[Tuple[int, tuple]]
+        self, ops: Sequence[Tuple[int, Tuple[str, tuple]]]
     ) -> Tuple[List[tuple], Optional[float]]:
-        """Execute ``(lane, descriptor)`` driver operations at the
-        barrier time, one after another."""
-        for lane, desc in ops:
-            self.sim.apply(lane, partial(self._exec_op, desc))
+        """Run ``(lane, (kind, desc))`` driver ops from
+        :data:`~repro.core.driver_ops.DRIVER_OPS` at the barrier time,
+        one after another."""
+        for lane, (kind, desc) in ops:
+            self.sim.apply(lane, partial(DRIVER_OPS[kind], self, desc))
         return self._drain()
 
     def _drain(self) -> Tuple[List[tuple], Optional[float]]:
@@ -346,111 +356,6 @@ class ShardWorker:
             self.channel.grant(time, key, lease_id)
         else:  # pragma: no cover - defensive
             raise ShardError(f"unknown injection {kind!r}")
-
-    # -- driver operations ---------------------------------------------
-
-    def _exec_op(self, desc: tuple) -> None:
-        kind = desc[0]
-        runtime = self.runtime
-        network = runtime.network
-        if kind == "kill":
-            _, node_id, owner = desc
-            network.kill_node(node_id)
-            if owner:
-                node = runtime.nodes.get(node_id)
-                if node is not None and hasattr(node, "on_killed"):
-                    node.on_killed()
-                runtime.trace("perturb.kill", node_id)
-        elif kind == "revive":
-            _, node_id, owner = desc
-            network.revive_node(node_id)
-            if owner:
-                node = runtime.nodes.get(node_id)
-                if node is not None and hasattr(node, "on_revived"):
-                    node.on_revived()
-                runtime.trace("perturb.join", node_id)
-        elif kind == "join":
-            from ..geometry import Vec2
-
-            _, node_id, (x, y), owner = desc
-            network.add_node(
-                Vec2(x, y),
-                max_range=runtime.config.recommended_max_range,
-                node_id=node_id,
-            )
-            if owner:
-                self.owned.add(node_id)
-                node = self.node_class(runtime, node_id)
-                if self._started:
-                    node.start()
-                runtime.trace("perturb.join", node_id)
-        elif kind == "mirror_add":
-            from ..geometry import Vec2
-
-            _, node_id, (x, y), alive = desc
-            network.add_node(
-                Vec2(x, y),
-                max_range=runtime.config.recommended_max_range,
-                node_id=node_id,
-            )
-            if not alive:
-                network.kill_node(node_id)
-        elif kind == "corrupt":
-            import random
-
-            from ..core.dynamic import default_corruption
-
-            _, node_id, op_seed = desc
-            node = runtime.nodes[node_id]
-            default_corruption(node, random.Random(op_seed))
-            runtime.trace("perturb.corrupt", node_id)
-        elif kind == "move":
-            from ..geometry import Vec2
-
-            _, node_id, (x, y), owner = desc
-            old = network.node(node_id).position
-            new = Vec2(x, y)
-            network.move_node(node_id, new)
-            if owner:
-                node = runtime.nodes.get(node_id)
-                if node is not None and hasattr(node, "on_moved"):
-                    node.on_moved(old, new)
-                runtime.trace("perturb.move", node_id)
-        elif kind == "traffic_attach":
-            from ..traffic.plane import ForwardingPlane
-
-            _, plane_config = desc
-            self.plane = ForwardingPlane(runtime, dict(plane_config))
-        elif kind == "traffic_send":
-            _, packet = desc
-            if self.plane is None:  # pragma: no cover - coordinator invariant
-                raise ShardError("traffic_send before traffic_attach")
-            self.plane.inject(packet)
-        elif kind == "traffic_send_batch":
-            _, packets = desc
-            if self.plane is None:  # pragma: no cover - coordinator invariant
-                raise ShardError("traffic_send before traffic_attach")
-            self.plane.inject_batch(list(packets))
-        elif kind == "jam":
-            from ..geometry import Vec2
-            from ..net import JamWindow
-
-            _, (start, end, cx, cy, radius), emit = desc
-            window = JamWindow(
-                start=start, end=end, center=Vec2(cx, cy), radius=radius
-            )
-            runtime.radio.ensure_fault_model().add_jam_window(window)
-            if emit:
-                runtime.tracer.emit(
-                    self.sim.now,
-                    "perturb.jam",
-                    node=None,
-                    center=(cx, cy),
-                    radius=radius,
-                    until=end,
-                )
-        else:  # pragma: no cover - defensive
-            raise ShardError(f"unknown driver op {kind!r}")
 
     # -- queries --------------------------------------------------------
 
@@ -481,12 +386,13 @@ class ShardWorker:
             self.sim.max_events = arg
             return None
         if what == "traffic":
-            if self.plane is None:
+            plane = self.runtime.radio.data_plane
+            if plane is None:
                 return ({}, (), {})
             return (
-                dict(self.plane.terminals),
-                tuple(self.plane.hop_log.entries()),
-                dict(self.plane.relay_load),
+                dict(plane.terminals),
+                tuple(plane.hop_log.entries()),
+                dict(plane.relay_load),
             )
         if what == "snapshot":
             from ..core.snapshot import node_view
@@ -1124,14 +1030,16 @@ class _FacadeRuntime:
         self.network = owner.network
 
 
-class ShardedSimulation:
+class ShardedSimulation(PerturbationOps, PacketOps):
     """Coordinator for a spatially sharded GS3-D run.
 
     Duck-types the ``Gs3DynamicSimulation`` surface that
     ``ScenarioExecution`` and the chaos campaigns drive: ``start``,
-    ``run_for``, ``stabilize``, ``snapshot``, the perturbation API, and
-    the ``runtime``/``tracer``/``network`` attributes.  Mobility and
-    energy-driven death are not supported sharded.
+    ``run_for``, ``stabilize``, ``snapshot``, the ``runtime``/``tracer``/
+    ``network`` attributes, and the driver ops, whose public methods
+    both drivers share (:mod:`~repro.core.driver_ops`).  Mobility,
+    cross-stripe moves, custom corruption mutators, energy-driven death
+    and record streaming are not supported sharded.
     """
 
     def __init__(
@@ -1222,7 +1130,7 @@ class ShardedSimulation:
         self._mediator = ChannelMediator(self._lookahead)
         self._ops: List[tuple] = []
         self._op_order = itertools.count()
-        self._op_counter = itertools.count()
+        self._driver_ops = itertools.count()
         #: Conservative epoch barriers executed so far.  At high packet
         #: rates the coordinator round trips (one per barrier, plus one
         #: per driver-op dispatch) dominate the data plane's wall time;
@@ -1372,199 +1280,106 @@ class ShardedSimulation:
         """Total events executed across all shards."""
         return sum(self._executor.query_all("executed"))
 
-    # -- perturbation API (driver operations) ---------------------------
+    # -- driver operations ----------------------------------------------
 
-    def _dispatch_op(
-        self,
-        targets: Sequence[Tuple[int, tuple]],
-        index: Optional[int] = None,
-    ) -> None:
-        """Apply one driver operation at the current barrier.
+    def _drive(self, kind: str, desc: tuple) -> Any:
+        """Run driver op ``k`` at the current barrier.
 
-        ``targets`` pairs shard indices with descriptors; each target
-        shard applies it in lane ``DRIVER_BASE + k``.  ``index`` is the
-        operation's number ``k`` when the caller drew it already.
+        Every shard :meth:`_route` names applies it in lane
+        ``DRIVER_BASE + k``.  Returns a joined node's id, else ``None``
+        (an attached plane lives in the shards).
         """
-        op = next(self._op_counter) if index is None else index
+        result, targets = self._route(kind, desc)
+        self.start()
+        lane = DRIVER_BASE + next(self._driver_ops)
         self.op_dispatches += 1
-        lane = DRIVER_BASE + op
-        for shard, desc in targets:
-            outbox, next_time = self._executor.apply_ops(
-                shard, [(lane, desc)]
-            )
+        for shard, op in targets:
+            outbox, next_time = self._executor.apply_ops(shard, [(lane, op)])
             self._next_times[shard] = next_time
             self._ingest(shard, outbox)
         self._flush_channel()
+        return result
 
-    def kill_node(self, node_id: int) -> None:
-        """Fail-stop a node in every shard that carries it."""
-        if not self.network.has_node(node_id):
-            return
-        if not self.network.node(node_id).alive:
-            return
-        self.start()
-        self.network.kill_node(node_id)
-        stripes = self._presence[node_id]
-        self._dispatch_op(
-            [
-                (shard, ("kill", node_id, i == 0))
-                for i, shard in enumerate(stripes)
-            ],
-        )
+    def _route(
+        self, kind: str, desc: tuple
+    ) -> Tuple[Any, List[Tuple[int, Tuple[str, tuple]]]]:
+        """``(result, [(shard, (kind, desc)), ...])`` for one op.
 
-    def kill_region(self, center, radius: float) -> List[int]:
-        victims = [
-            n.node_id
-            for n in self.network.nodes_within(center, radius)
-            if not n.is_big
-        ]
-        for node_id in victims:
-            self.kill_node(node_id)
-        return victims
-
-    def revive_node(self, node_id: int) -> None:
-        if not self.network.has_node(node_id):
-            return
-        if self.network.node(node_id).alive:
-            return
-        self.start()
-        self.network.revive_node(node_id)
-        stripes = self._presence[node_id]
-        self._dispatch_op(
-            [
-                (shard, ("revive", node_id, i == 0))
-                for i, shard in enumerate(stripes)
-            ],
-        )
-
-    def add_node(self, position) -> int:
-        self.start()
-        phys = self.network.add_node(
-            position, max_range=self.config.recommended_max_range
-        )
-        node_id = phys.node_id
-        stripes = self._stripes_of(position)
-        self._presence[node_id] = stripes
-        pos = (position.x, position.y)
-        targets: List[Tuple[int, tuple]] = [
-            (stripes[0], ("join", node_id, pos, True))
-        ]
-        targets.extend(
-            (shard, ("mirror_add", node_id, pos, True))
-            for shard in stripes[1:]
-        )
-        self._dispatch_op(targets)
-        return node_id
-
-    def corrupt_node(self, node_id: int, mutator=None) -> None:
-        if mutator is not None:
-            raise ShardError(
-                "sharded runs support only the default corruption mutator"
-            )
-        if node_id not in self._presence:
-            raise KeyError(node_id)
-        self.start()
-        # Operation k draws from its own "corruption:<k>" seed, as in
-        # the in-process driver.
-        index = next(self._op_counter)
-        op_seed = derive_seed(self.seed, f"corruption:{index}")
-        owner = self._presence[node_id][0]
-        self._dispatch_op([(owner, ("corrupt", node_id, op_seed))], index)
-
-    def move_node(self, node_id: int, new_position) -> None:
-        if not self.network.has_node(node_id):
-            return
-        self.start()
-        stripes = self._presence[node_id]
-        new_stripes = self._stripes_of(new_position)
-        if new_stripes[0] != stripes[0]:
-            raise ShardError(
-                f"node {node_id} would cross from shard {stripes[0]} to "
-                f"{new_stripes[0]}; cross-region moves are not supported "
-                "(run with shards=1 or a mobility-free scenario)"
-            )
-        alive = self.network.node(node_id).alive
-        self.network.move_node(node_id, new_position)
-        pos = (new_position.x, new_position.y)
-        targets: List[Tuple[int, tuple]] = [
-            (shard, ("move", node_id, pos, i == 0))
-            for i, shard in enumerate(stripes)
-        ]
-        for shard in new_stripes:
-            if shard not in stripes:
-                stripes.append(shard)
-                targets.append(
-                    (shard, ("mirror_add", node_id, pos, alive))
+        An op that changes a node's physical state reaches every shard
+        carrying the node (owner first); one that touches only a program
+        (corrupt, send) reaches the owner; jam and traffic attach reach
+        every shard.  The coordinator's network and presence table move
+        with the op.
+        """
+        network = self.network
+        if kind in ("kill", "revive"):
+            (node_id,) = desc
+            if kind == "kill":
+                network.kill_node(node_id)
+            else:
+                network.revive_node(node_id)
+            return None, [(s, (kind, desc)) for s in self._presence[node_id]]
+        if kind == "join":
+            _, position = desc
+            node_id = network.add_node(
+                position, max_range=self.config.recommended_max_range
+            ).node_id
+            stripes = self._presence[node_id] = self._stripes_of(position)
+            return node_id, [(stripes[0], ("join", (node_id, position)))] + [
+                (shard, ("mirror", (node_id, position, True)))
+                for shard in stripes[1:]
+            ]
+        if kind == "move":
+            node_id, position = desc
+            stripes = self._presence[node_id]
+            new_stripes = self._stripes_of(position)
+            if new_stripes[0] != stripes[0]:
+                raise ShardError(
+                    f"node {node_id} would cross from shard {stripes[0]} to "
+                    f"{new_stripes[0]}; cross-region moves are not supported "
+                    "(run with shards=1 or a mobility-free scenario)"
                 )
-        self._dispatch_op(targets)
-
-    def jam_region(
-        self, center, radius: float, duration: float,
-        start: Optional[float] = None,
-    ):
-        from ..net import JamWindow
-
-        self.start()
-        begin = self._now if start is None else start
-        window = JamWindow(
-            start=begin, end=begin + duration, center=center, radius=radius
-        )
-        desc = (begin, window.end, center.x, center.y, radius)
-        # Every shard installs the window (any shard may host an
-        # affected sender); exactly one emits the trace record so the
-        # merged multiset matches a one-shard run.
-        self._dispatch_op(
-            [
-                (shard, ("jam", desc, shard == 0))
+            alive = network.node(node_id).alive
+            network.move_node(node_id, position)
+            targets = [(shard, ("move", desc)) for shard in stripes]
+            for shard in new_stripes:
+                if shard not in stripes:
+                    stripes.append(shard)
+                    targets.append(
+                        (shard, ("mirror", (node_id, position, alive)))
+                    )
+            return None, targets
+        if kind == "corrupt":
+            node_id, mutator = desc
+            if mutator is not default_corruption:
+                raise ShardError(
+                    "sharded runs support only the default corruption mutator"
+                )
+            return None, [(self._presence[node_id][0], (kind, desc))]
+        if kind == "jam":
+            # Every shard installs the window (any shard may host an
+            # affected sender); exactly one emits the trace record so the
+            # merged multiset matches a one-shard run.
+            window, _ = desc
+            return None, [
+                (shard, ("jam", (window, shard == 0)))
                 for shard in range(self.shards)
-            ],
-        )
-        return window
+            ]
+        if kind == "attach":
+            if desc[1] is not None:
+                raise ValueError(
+                    "record streaming is in-process only; sharded planes "
+                    "live in worker processes"
+                )
+            return None, [(shard, (kind, desc)) for shard in range(self.shards)]
+        # "send" carries one packet, "send_batch" a same-source tuple.
+        source = desc[0] if kind == "send" else desc[0][0]
+        return None, [(self._presence[source.src][0], (kind, desc))]
 
     def attach_energy(self, *args, **kwargs):
         raise ShardError("energy-driven death is not supported sharded")
 
     # -- data plane (repro.traffic) --------------------------------------
-
-    def attach_traffic(
-        self, plane_config: Dict[str, Any], stream=None
-    ) -> None:
-        """Install a forwarding plane on every shard worker.
-
-        Returns ``None``: the planes live in the shards, and their
-        records come back through :meth:`traffic_records`.
-        """
-        if stream is not None:
-            raise ValueError(
-                "record streaming is in-process only; sharded planes "
-                "live in worker processes"
-            )
-        self.start()
-        config = dict(plane_config)
-        self._dispatch_op(
-            [
-                (shard, ("traffic_attach", config))
-                for shard in range(self.shards)
-            ],
-        )
-
-    def send_packet(self, packet) -> None:
-        """Originate a data packet at its source's owning shard, now."""
-        self.start()
-        owner = self._presence[packet.src][0]
-        self._dispatch_op([(owner, ("traffic_send", packet))])
-
-    def send_packet_batch(self, packets) -> None:
-        """Originate a same-source packet batch in one driver op.
-
-        One op id and one IPC round trip to the owning shard instead of
-        one per packet — the shard-side plane injects the whole batch
-        inside a single event, mirroring the in-process
-        ``inject_batch`` trajectory claim for claim.
-        """
-        self.start()
-        owner = self._presence[packets[0].src][0]
-        self._dispatch_op([(owner, ("traffic_send_batch", tuple(packets)))])
 
     def traffic_records(
         self,
@@ -1592,7 +1407,9 @@ class ShardedSimulation:
 
     # -- observation -----------------------------------------------------
 
-    def snapshot(self):
+    def _merged_snapshot(self):
+        """The merged structure and every shard's gap findings, from
+        one snapshot query."""
         from ..core.snapshot import StructureSnapshot
 
         views: Dict[int, Any] = {}
@@ -1600,8 +1417,7 @@ class ShardedSimulation:
         for shard_views, shard_gaps in self._executor.query_all("snapshot"):
             views.update(shard_views)
             gaps |= shard_gaps
-        self._gaps = gaps
-        return StructureSnapshot(
+        snapshot = StructureSnapshot(
             time=self._now,
             ideal_radius=self.config.ideal_radius,
             radius_tolerance=self.config.radius_tolerance,
@@ -1609,13 +1425,14 @@ class ShardedSimulation:
             big_id=self.network.big_id,
             views={node_id: views[node_id] for node_id in sorted(views)},
         )
+        return snapshot, gaps
+
+    def snapshot(self):
+        return self._merged_snapshot()[0]
 
     def gap_axials(self) -> set:
-        gaps: Set[Any] = set()
-        for _views, shard_gaps in self._executor.query_all("snapshot"):
-            gaps |= shard_gaps
-        occupied = set(self.snapshot().head_by_axial)
-        return gaps - occupied
+        snapshot, gaps = self._merged_snapshot()
+        return gaps - set(snapshot.head_by_axial)
 
     # -- convergence ------------------------------------------------------
 

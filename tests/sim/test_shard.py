@@ -78,6 +78,38 @@ def _drive(sim, perturb=True):
     return _fingerprint(sim)
 
 
+#: A field wide enough that shards hold only part of it: at two shards
+#: 56 of its 301 nodes live in one stripe only.
+WIDE = {"kind": "uniform", "field_radius": 400.0, "n_nodes": 300}
+
+
+def _drive_wide(sim):
+    """Ops that reach only some of the shards.
+
+    The join at (-350, 20) lands in one stripe at two shards and in two
+    stripes at four; moving node 3 by -40 in x adds a mirror stripe at
+    both counts.
+    """
+    sim.start()
+    sim.run_for(160.0)
+    heads = sorted(
+        v.node_id for v in sim.snapshot().heads.values() if not v.is_big
+    )
+    sim.kill_node(heads[0])
+    sim.run_for(40.0)
+    sim.kill_region(Vec2(250.0, 0.0), 50.0)
+    sim.run_for(40.0)
+    sim.revive_node(heads[0])
+    sim.add_node(Vec2(-350.0, 20.0))
+    sim.run_for(40.0)
+    sim.corrupt_node(heads[-1])
+    position = sim.network.node(3).position
+    sim.move_node(3, Vec2(position.x - 40.0, position.y))
+    sim.jam_region(Vec2(0.0, 0.0), 80.0, 40.0)
+    sim.run_for(120.0)
+    return _fingerprint(sim)
+
+
 def _unsharded(spec, seed, channel=None):
     """The in-process run a ``ShardedSimulation`` must reproduce."""
     return Gs3DynamicSimulation.from_deployment(
@@ -130,6 +162,18 @@ class TestByteIdentity:
         assert _run(1, perturb=False) == baseline
         assert _run(2, perturb=False) == baseline
 
+    def test_partial_presence_agrees(self):
+        """Ops that reach only some shards: kill, region kill, revive,
+        a one-stripe join, corrupt, a move that adds a mirror stripe,
+        and a jam."""
+        baseline = _drive_wide(_unsharded(WIDE, 7))
+        for shards in (2, 4):
+            sim = ShardedSimulation(WIDE, CONFIG, seed=7, shards=shards)
+            try:
+                assert _drive_wide(sim) == baseline
+            finally:
+                sim.close()
+
     def test_different_seeds_diverge(self):
         # Sanity: the fingerprint is sensitive enough to catch drift.
         assert _run(1, seed=7) != _run(1, seed=8)
@@ -141,7 +185,7 @@ class TestByteIdentityRandomized:
         n_nodes=st.integers(min_value=40, max_value=90),
         shards=st.sampled_from([2, 3, 4]),
         churn=st.lists(
-            st.sampled_from(["kill", "join", "corrupt", "jam"]),
+            st.sampled_from(["kill", "revive", "join", "corrupt", "jam"]),
             min_size=0,
             max_size=3,
         ),
@@ -181,6 +225,12 @@ class TestByteIdentityRandomized:
                         ]
                         if alive:
                             sim.kill_node(rng.choice(alive))
+                    elif action == "revive":
+                        dead = sorted(
+                            n.node_id for n in sim.network if not n.alive
+                        )
+                        if dead:
+                            sim.revive_node(rng.choice(dead))
                     elif action == "join":
                         sim.add_node(
                             Vec2(

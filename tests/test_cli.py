@@ -758,6 +758,40 @@ class TestMalformedInput:
         assert out.count("\n") == 1
 
 
+class TestRefusedShardedOp:
+    """An op a sharded run refuses mid-run ends in one ``error:`` line,
+    exit 2, with the library's message."""
+
+    SCENARIO = {
+        "seed": 3,
+        "config": {"ideal_radius": 100.0, "radius_tolerance": 25.0},
+        "deployment": {"kind": "uniform", "field_radius": 170.0,
+                       "n_nodes": 80},
+        "perturbations": [
+            {"kind": "move_node", "at": 200.0, "node_id": 3,
+             "to": [-150.0, 0.0]}
+        ],
+        "shards": 4,
+    }
+
+    @pytest.mark.parametrize(
+        "command",
+        [["scenario"], ["replay", "--at", "2000"], ["bisect", "--t-max", "2000"]],
+        ids=lambda c: c[0],
+    )
+    def test_cross_region_move(self, tmp_path, capsys, command):
+        path = tmp_path / "move.json"
+        path.write_text(json.dumps(self.SCENARIO))
+        code = main([command[0], str(path), *command[1:]])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith(
+            "error: node 3 would cross from shard 1 to 0; "
+            "cross-region moves are not supported"
+        )
+        assert out.count("\n") == 1
+
+
 class TestStoreExpiryCli:
     def _populated_store(self, tmp_path):
         from repro.sim import RunStore, StoredRecord
