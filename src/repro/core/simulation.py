@@ -133,7 +133,7 @@ def stabilize(
 
     ``simulation`` is a :class:`Gs3Simulation` or a sharded
     :class:`~repro.sim.shard.ShardedSimulation`: everything used here —
-    ``start``, ``snapshot``, ``gap_axials``, ``network`` and the
+    ``start``, ``_snapshot_and_gaps``, ``network`` and the
     ``runtime.sim`` clock and ``runtime.tracer`` — is the surface both
     share.
 
@@ -201,11 +201,12 @@ def stabilize(
     if check_invariants:
         from .invariants import check_static_invariant
 
+        snapshot, gaps = simulation._snapshot_and_gaps()
         violations = check_static_invariant(
-            simulation.snapshot(),
+            snapshot,
             simulation.network,
             field=field,
-            gap_axials=simulation.gap_axials(),
+            gap_axials=gaps,
             dynamic=dynamic,
         )
     return StabilityReport(
@@ -399,11 +400,15 @@ class Gs3Simulation(PacketOps):
         since been headed.  Pass to the invariant checkers so cells
         adjoining a gap are classified as boundary cells (Section 3.3).
         """
+        return self._snapshot_and_gaps()[1]
+
+    def _snapshot_and_gaps(self) -> Tuple[StructureSnapshot, set]:
+        """The structure and its :meth:`gap_axials`, from one snapshot."""
+        snapshot = take_snapshot(self.runtime)
         gaps = set()
         for node in self.runtime.nodes.values():
             gaps |= getattr(node, "gap_axials", set())
-        occupied = set(self.snapshot().head_by_axial)
-        return gaps - occupied
+        return snapshot, gaps - set(snapshot.head_by_axial)
 
     @property
     def tracer(self) -> Tracer:

@@ -24,6 +24,13 @@ counters and fault streams advance identically whether the receiver is
 simulated locally or in another shard.  With no fault model installed
 (``faults is None`` and ``broadcast_loss == 0``) the broadcast loop
 makes no fault draws at all.
+
+Scheduling: a send's local deliveries are one queue entry, a *delivery
+run* (:meth:`~repro.sim.engine.Simulator.schedule_run`), which the
+engine delivers receiver by receiver in ``(arrival, key)`` order, each
+at its own arrival time and in its own lane, exactly where one event
+per receiver would have run.  A shard worker schedules the deliveries
+other shards send it the same way.
 """
 
 from __future__ import annotations
@@ -339,21 +346,58 @@ class Radio:
         """Schedule ``(arrival, dest_id, payload)`` deliveries in order.
 
         Each claims the next key of ``lane`` (default: the current
-        lane, the sender's) and runs in the receiver's lane — here, or
-        in the receiver's shard through the shard port.
+        lane, the sender's) and runs in the receiver's lane — here, in
+        one delivery run, or in the receiver's shard through the shard
+        port.
         """
-        sim = self.sim
-        claim = sim.claim_key
-        schedule = sim.schedule_keyed
-        deliver = self._deliver
+        if not deliveries:
+            return
+        lane, seq = self.sim.claim_key(lane, len(deliveries))
         port = self.shard_port
+        items = []
         for arrival, dest_id, payload in deliveries:
-            key = claim(lane)
+            key = (lane, seq)
+            seq += 1
             if port is None or port.is_local(dest_id):
-                callback = partial(deliver, sender_id, dest_id, payload)
-                schedule(arrival, key, callback, dest_id)
+                items.append((arrival, key, dest_id, payload))
             else:
                 port.send_delivery(arrival, key, sender_id, dest_id, payload)
+        self.schedule_run(sender_id, items, self.faults is None)
+
+    def schedule_run(
+        self, sender_id: NodeId, items: List[tuple], in_order: bool
+    ) -> None:
+        """Schedule ``sender_id``'s ``(arrival, key, dest_id, payload)``
+        deliveries, listed in claim order, as one delivery run.
+
+        ``in_order`` says the list is already in ``(arrival, key)``
+        order (one arrival time for all, as without a fault model);
+        otherwise it is sorted here.  A single delivery (a unicast, most
+        data frames) is one plain keyed event: a one-receiver run has
+        nothing to merge and its cursor costs two calls more
+        (EXPERIMENTS § DELIVERY-RUNS).
+        """
+        if not items:
+            return
+        if len(items) == 1:
+            arrival, key, dest_id, payload = items[0]
+            self.sim.schedule_keyed(
+                arrival,
+                key,
+                partial(self._deliver, sender_id, dest_id, payload),
+                dest_id,
+            )
+            return
+        if in_order:
+            items.reverse()
+        else:
+            items.sort(reverse=True)
+        self.sim.schedule_run(items, partial(self._deliver_run, sender_id))
+
+    def _deliver_run(self, sender_id: NodeId) -> None:
+        """A delivery run's callback: a radio frame, so that a profiler
+        files the run's work under radio delivery."""
+        self.sim.resume_run(self._deliver, sender_id)
 
     def _deliver(self, sender_id: NodeId, dest_id: NodeId, payload: Any) -> None:
         if not self.network.has_node(dest_id):

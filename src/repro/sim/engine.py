@@ -55,6 +55,21 @@ on a global heap holding every pending timer in the system.  A wheel
 entry claims its key at arm time exactly like a one-shot event, and the
 run loop always executes the smallest ``(time, key)`` across both
 structures, so the wheel never changes a run's event order.
+
+Delivery runs.  A radio send reaches many receivers (~275 per heartbeat
+broadcast on a dense field), and the receivers of one send claim
+consecutive keys from one lane.  Such a send is one queue entry, a
+*delivery run* (:meth:`Simulator.schedule_run`): a cursor over its
+receivers in ``(time, key)`` order that sits in the heap under its
+smallest remaining ``(time, key)``.  The run loop pops it like any
+event; :meth:`Simulator.resume_run` then delivers receiver after
+receiver while the next one still sorts before the heap head and the
+wheel minimum, and pushes the cursor back under its next receiver
+otherwise — a k-way merge of the sends into the one event order.  The
+counters keep their units: :attr:`Simulator.executed_events` counts
+every receiver, :attr:`Simulator.pending_events` every undelivered one,
+``max_events`` trips on the receiver that crosses it, and
+:meth:`Simulator.step` delivers exactly one receiver (DESIGN.md § 8).
 """
 
 from __future__ import annotations
@@ -62,7 +77,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, List, Optional, Tuple, TypeVar
 
 __all__ = [
     "CHANNEL_LANE",
@@ -103,9 +118,13 @@ class Event:
     *pending* until it is either cancelled (before it runs) or consumed
     (when the simulator pops and executes it).  Folding the handle into
     the record keeps the schedule path at one allocation per event.
+    A delivery run's event also carries the run's undelivered ``items``
+    (the slot is left unset on every other event).
     """
 
-    __slots__ = ("time", "callback", "cancelled", "consumed", "lane", "_sim")
+    __slots__ = (
+        "time", "callback", "cancelled", "consumed", "lane", "items", "_sim"
+    )
 
     def __init__(
         self,
@@ -163,6 +182,15 @@ class Simulator:
         self._executed = 0
         self._live = 0
         self._max_events = max_events
+        # What a delivery run (``resume_run``) may consume before it
+        # hands control back: receivers while ``_executed < _budget``
+        # (``max_events`` in ``run``, one in ``step``), and times up to
+        # ``_horizon`` (``run``'s ``until``).
+        self._budget = max_events
+        self._horizon = float("inf")
+        # The event whose callback runs now (a delivery run's callback
+        # resumes it through ``resume_run``).
+        self._event: Optional[Event] = None
         self._running = False
         # -- timer wheel (recurring events) --------------------------------
         # Buckets keyed by int(time // width); each bucket is a heap of
@@ -234,12 +262,16 @@ class Simulator:
         self._lane = lane
         return previous
 
-    def claim_key(self, lane: Optional[int] = None) -> Tuple[int, int]:
+    def claim_key(
+        self, lane: Optional[int] = None, count: int = 1
+    ) -> Tuple[int, int]:
         """Claim the next ``(origin_lane, origin_seq)`` key from the
         current lane — or an explicit ``lane`` — without scheduling
         anything.
 
-        The radio claims one key per delivery so lane counters advance
+        ``count`` claims that many consecutive keys at once and returns
+        the first; the others are ``(lane, seq + 1)``, ...  The radio
+        claims one key per delivery so lane counters advance
         identically whether the destination is local or lives in
         another shard (where the event is injected with
         :meth:`schedule_keyed` at a barrier).  The data plane passes an
@@ -254,7 +286,7 @@ class Simulator:
                 raise SimulationError("scheduling requires a lane context")
         counters = self._lane_counters
         n = counters.get(lane, 0)
-        counters[lane] = n + 1
+        counters[lane] = n + count
         return (lane, n)
 
     def schedule_keyed(
@@ -278,6 +310,99 @@ class Simulator:
         heapq.heappush(self._queue, (time, key, event))
         self._live += 1
         return event
+
+    def schedule_run(
+        self, items: List[tuple], callback: Callable[[], None]
+    ) -> None:
+        """Schedule a delivery run: many keyed deliveries as one entry.
+
+        ``items`` are ``(time, key, lane, payload)`` tuples with
+        pre-claimed keys, sorted in *descending* ``(time, key)`` order
+        (the next item last, so delivering pops from the end).  The run
+        enters the heap under its first item, through
+        :meth:`schedule_keyed`, and ``callback`` must call
+        :meth:`resume_run`.  Every item counts as one pending event;
+        a run cannot be cancelled.
+        """
+        time, key, lane, _ = items[-1]
+        event = self.schedule_keyed(time, key, callback, lane)
+        event.items = items
+        self._live += len(items) - 1
+
+    def resume_run(
+        self, body: Callable[[Any, int, Any], None], arg: Any
+    ) -> None:
+        """Deliver the running run's items while each is the next event.
+
+        Called from a run's callback: the run loop has just popped the
+        run's event as the last of its ``items`` — set the clock and
+        the lane and counted it — so that item goes to ``body(arg,
+        lane, payload)`` at once.  Each later item is delivered in
+        turn, with the same bookkeeping, while it still sorts before
+        the heap head and the wheel minimum, lies within ``run``'s
+        ``until`` and within the event budget (one event per
+        :meth:`step`).  Once one does not, the event goes back in the
+        heap under that item, so the run loop resumes the run exactly
+        where the order says.
+        """
+        event = self._event
+        queue = self._queue
+        items = event.items
+        item = items.pop()
+        now = item[0]
+        try:
+            body(arg, item[2], item[3])
+            while items:
+                item = items[-1]
+                # Heap entries are (time, key, event) and wheel minima
+                # (time, key); keys are unique, so both comparisons
+                # are decided by time and key.
+                if queue and queue[0] < item:
+                    break
+                wheel_min = self._wheel_min
+                if wheel_min is not None and wheel_min < item:
+                    break
+                executed = self._executed
+                if executed >= self._budget:
+                    break
+                time = item[0]
+                if time != now:
+                    if time > self._horizon:
+                        break
+                    self._now = now = time
+                self._executed = executed + 1
+                self._live -= 1
+                self._lane = lane = item[2]
+                items.pop()
+                body(arg, lane, item[3])
+        finally:
+            if items:
+                self._requeue(event)
+
+    def _requeue(self, event: Event) -> None:
+        """Put a run's event back in the heap under its next item."""
+        time, key, lane, _ = event.items[-1]
+        event.time = time
+        event.lane = lane
+        event.consumed = False
+        heapq.heappush(self._queue, (time, key, event))
+
+    def _exceeded(self, event: Event) -> SimulationError:
+        """The ``max_events`` error for the just-counted ``event``.
+
+        The event is consumed without running, as any event that
+        crosses the limit; for a delivery run that is only its next
+        receiver, and the later ones stay pending.
+        """
+        items = getattr(event, "items", None)
+        if items:
+            items.pop()
+            if items:
+                self._requeue(event)
+        return SimulationError(
+            f"exceeded max_events={self._max_events}; "
+            "likely a runaway protocol loop"
+        )
 
     def apply(self, lane: int, operation: Callable[[], _T]) -> _T:
         """Run a driver operation now, in ``lane``; return its result.
@@ -503,15 +628,17 @@ class Simulator:
             self._now = time
             self._executed += 1
             if self._executed > self._max_events:
-                raise SimulationError(
-                    f"exceeded max_events={self._max_events}; "
-                    "likely a runaway protocol loop"
-                )
+                raise self._exceeded(event)
             self._lane = event.lane
+            self._event = event
+            # A delivery run delivers only this one receiver.
+            entry_budget = self._budget
+            self._budget = self._executed
             try:
                 event.callback()
             finally:
                 self._lane = entry_lane
+                self._budget = entry_budget
             return True
 
     def run(self, until: Optional[float] = None) -> float:
@@ -530,8 +657,9 @@ class Simulator:
         entry_lane = self._lane
         queue = self._queue
         pop = heapq.heappop
-        max_events = self._max_events
+        max_events = self._budget = self._max_events
         no_deadline = until is None
+        self._horizon = float("inf") if no_deadline else until
         try:
             while True:
                 # Pick the globally smallest (time, key) across the
@@ -576,11 +704,9 @@ class Simulator:
                 self._now = time
                 self._executed += 1
                 if self._executed > max_events:
-                    raise SimulationError(
-                        f"exceeded max_events={max_events}; "
-                        "likely a runaway protocol loop"
-                    )
+                    raise self._exceeded(event)
                 self._lane = event.lane
+                self._event = event
                 event.callback()
         finally:
             self._running = False

@@ -318,8 +318,7 @@ class ShardWorker:
         self, until: float, injections: Sequence[tuple]
     ) -> Tuple[List[tuple], Optional[float]]:
         """Inject barrier traffic, run to ``until``, drain the outbox."""
-        for item in injections:
-            self._inject(item)
+        self._inject(injections)
         self.sim.run(until=until)
         return self._drain()
 
@@ -340,22 +339,30 @@ class ShardWorker:
 
     # -- barrier injections --------------------------------------------
 
-    def _inject(self, item: tuple) -> None:
-        kind = item[0]
-        if kind == "deliver":
-            _, time, key, sender_id, dest_id, payload = item
-            self.sim.schedule_keyed(
-                time,
-                key,
-                partial(self.runtime.radio._deliver, sender_id, dest_id,
-                        payload),
-                lane=dest_id,
-            )
-        elif kind == "grant":
-            _, time, key, lease_id = item
-            self.channel.grant(time, key, lease_id)
-        else:  # pragma: no cover - defensive
-            raise ShardError(f"unknown injection {kind!r}")
+    def _inject(self, injections: Sequence[tuple]) -> None:
+        """Schedule one barrier's deliveries and channel grants.
+
+        Deliveries come in claim order, a send's consecutively, so each
+        stretch from one sender is scheduled as one delivery run.
+        """
+        radio = self.runtime.radio
+        run: List[tuple] = []
+        sender = None
+        for item in injections:
+            kind = item[0]
+            if kind == "deliver":
+                _, time, key, sender_id, dest_id, payload = item
+                if sender_id != sender:
+                    radio.schedule_run(sender, run, False)
+                    run = []
+                    sender = sender_id
+                run.append((time, key, dest_id, payload))
+            elif kind == "grant":
+                _, time, key, lease_id = item
+                self.channel.grant(time, key, lease_id)
+            else:  # pragma: no cover - defensive
+                raise ShardError(f"unknown injection {kind!r}")
+        radio.schedule_run(sender, run, False)
 
     # -- queries --------------------------------------------------------
 
@@ -447,9 +454,9 @@ class _InlineExecutor:
         ]
 
     def apply_ops(
-        self, shard: int, ops: Sequence[tuple]
-    ) -> Tuple[List[tuple], Optional[float]]:
-        return self._workers[shard].apply_ops(ops)
+        self, targets: Sequence[Tuple[int, Sequence[tuple]]]
+    ) -> List[Tuple[List[tuple], Optional[float]]]:
+        return [self._workers[shard].apply_ops(ops) for shard, ops in targets]
 
     def query_all(self, what: str, arg: Any = None) -> List[Any]:
         return [worker.query(what, arg) for worker in self._workers]
@@ -537,10 +544,11 @@ _MUTATING_QUERIES = frozenset({"set_max_events"})
 class _ProcessExecutor:
     """One forked worker process per shard, supervised over pipes.
 
-    Commands fan out to every worker before any reply is collected, so
-    shards advance their epochs concurrently; replies are merged in
-    shard order, which keeps the coordinator's view identical to the
-    inline executor's.
+    Commands fan out to every worker they target (every shard for an
+    epoch advance, the carriers of a node for a driver op) before any
+    reply is collected, so those shards work concurrently; replies are
+    merged in target order, which keeps the coordinator's view
+    identical to the inline executor's.
 
     Supervision (see :mod:`repro.sim.supervise` and DESIGN.md § 10): a
     dead shard worker surfaces as a structured fault instead of a hung
@@ -700,8 +708,12 @@ class _ProcessExecutor:
         are re-sent.  Past the budget: inline fallback or ShardError.
         """
         if self._inline is not None:
-            if shard in self._fallback_replies:
-                return self._fallback_replies.pop(shard)
+            # A fallback inside this exchange replayed every journal, so
+            # a journaled command's reply is already there; anything
+            # else still has to run.
+            reply = self._fallback_replies.pop(shard, None)
+            if journal or msg is None:
+                return reply
             return _apply_inline(self._inline, shard, msg)
         policy = self._supervision.policy
         attempts = 0
@@ -768,65 +780,67 @@ class _ProcessExecutor:
         self._fallback_replies.pop(shard, None)
         return _apply_inline(inline, shard, msg)
 
-    def _dispatch(self, shard: int, msg: tuple, journal: bool) -> Any:
-        """Send one command to one shard and collect its reply."""
-        if self._inline is not None:
-            return _apply_inline(self._inline, shard, msg)
-        if journal:
-            self._journals[shard].append(msg)
-        self._send(shard, msg)
-        return self._finish(shard, msg, journal)
-
-    def _broadcast(
-        self, messages: Sequence[tuple], journal: bool
+    def _exchange(
+        self, messages: Sequence[Tuple[int, tuple]], journal: bool
     ) -> List[Any]:
+        """Send each ``(shard, msg)`` — one per shard — then collect the
+        replies in that order.
+
+        Every frame is journaled and sent before the first reply is
+        read, so the shards work on their commands at the same time.
+        """
         if self._inline is not None:
             return [
                 _apply_inline(self._inline, shard, msg)
-                for shard, msg in enumerate(messages)
+                for shard, msg in messages
             ]
-        for shard, msg in enumerate(messages):
+        for shard, msg in messages:
             if journal:
                 self._journals[shard].append(msg)
             self._send(shard, msg)
-        return [
-            self._finish(shard, msg, journal)
-            for shard, msg in enumerate(messages)
-        ]
+        return [self._finish(shard, msg, journal) for shard, msg in messages]
 
     # -- executor surface ----------------------------------------------
 
     def start_all(self) -> List[Optional[float]]:
-        return self._broadcast(
-            [("start",)] * len(self._specs), journal=True
+        return self._exchange(
+            [(shard, ("start",)) for shard in range(len(self._specs))],
+            journal=True,
         )
 
     def advance_all(
         self, until: float, injections: Sequence[Sequence[tuple]]
     ) -> List[Tuple[List[tuple], Optional[float]]]:
-        return self._broadcast(
+        return self._exchange(
             [
-                ("advance", until, list(injections[i]))
-                for i in range(len(self._specs))
+                (shard, ("advance", until, list(injections[shard])))
+                for shard in range(len(self._specs))
             ],
             journal=True,
         )
 
     def apply_ops(
-        self, shard: int, ops: Sequence[tuple]
-    ) -> Tuple[List[tuple], Optional[float]]:
-        return self._dispatch(shard, ("apply_ops", list(ops)), journal=True)
+        self, targets: Sequence[Tuple[int, Sequence[tuple]]]
+    ) -> List[Tuple[List[tuple], Optional[float]]]:
+        return self._exchange(
+            [(shard, ("apply_ops", list(ops))) for shard, ops in targets],
+            journal=True,
+        )
 
     def query_all(self, what: str, arg: Any = None) -> List[Any]:
-        return self._broadcast(
-            [("query", what, arg)] * len(self._specs),
+        return self._exchange(
+            [
+                (shard, ("query", what, arg))
+                for shard in range(len(self._specs))
+            ],
             journal=what in _MUTATING_QUERIES,
         )
 
     def query(self, shard: int, what: str, arg: Any = None) -> Any:
-        return self._dispatch(
-            shard, ("query", what, arg), journal=what in _MUTATING_QUERIES
-        )
+        return self._exchange(
+            [(shard, ("query", what, arg))],
+            journal=what in _MUTATING_QUERIES,
+        )[0]
 
     def close(self) -> None:
         try:
@@ -1286,15 +1300,19 @@ class ShardedSimulation(PerturbationOps, PacketOps):
         """Run driver op ``k`` at the current barrier.
 
         Every shard :meth:`_route` names applies it in lane
-        ``DRIVER_BASE + k``.  Returns a joined node's id, else ``None``
-        (an attached plane lives in the shards).
+        ``DRIVER_BASE + k``; the executor sends it to all of them
+        before it reads a reply, and their outboxes are ingested in
+        target order.  Returns a joined node's id, else ``None`` (an
+        attached plane lives in the shards).
         """
         result, targets = self._route(kind, desc)
         self.start()
         lane = DRIVER_BASE + next(self._driver_ops)
         self.op_dispatches += 1
-        for shard, op in targets:
-            outbox, next_time = self._executor.apply_ops(shard, [(lane, op)])
+        replies = self._executor.apply_ops(
+            [(shard, [(lane, op)]) for shard, op in targets]
+        )
+        for (shard, _), (outbox, next_time) in zip(targets, replies):
             self._next_times[shard] = next_time
             self._ingest(shard, outbox)
         self._flush_channel()
@@ -1407,9 +1425,9 @@ class ShardedSimulation(PerturbationOps, PacketOps):
 
     # -- observation -----------------------------------------------------
 
-    def _merged_snapshot(self):
-        """The merged structure and every shard's gap findings, from
-        one snapshot query."""
+    def _snapshot_and_gaps(self):
+        """The merged structure and its :meth:`gap_axials`, from one
+        snapshot query."""
         from ..core.snapshot import StructureSnapshot
 
         views: Dict[int, Any] = {}
@@ -1425,14 +1443,13 @@ class ShardedSimulation(PerturbationOps, PacketOps):
             big_id=self.network.big_id,
             views={node_id: views[node_id] for node_id in sorted(views)},
         )
-        return snapshot, gaps
+        return snapshot, gaps - set(snapshot.head_by_axial)
 
     def snapshot(self):
-        return self._merged_snapshot()[0]
+        return self._snapshot_and_gaps()[0]
 
     def gap_axials(self) -> set:
-        snapshot, gaps = self._merged_snapshot()
-        return gaps - set(snapshot.head_by_axial)
+        return self._snapshot_and_gaps()[1]
 
     # -- convergence ------------------------------------------------------
 

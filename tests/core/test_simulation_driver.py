@@ -65,3 +65,33 @@ class TestRunUntilStableZeroInstant:
         sim = Gs3Simulation(network, GS3Config())
         converged_at = sim.run_until_stable(window=50.0)
         assert converged_at == 0.0
+
+
+class TestOneSnapshotPerCheck:
+    def test_stabilize_takes_one_snapshot(self, monkeypatch):
+        """The invariant check reads the structure and the gap cells
+        from one snapshot."""
+        import repro.core.simulation as simulation_module
+        from repro.core import Gs3DynamicSimulation
+        from repro.net import deployment_from_spec
+        from repro.sim import RngStreams
+
+        sim = Gs3DynamicSimulation.from_deployment(
+            deployment_from_spec(
+                {"kind": "uniform", "field_radius": 170.0, "n_nodes": 80},
+                RngStreams(7),
+            ),
+            GS3Config(ideal_radius=100.0, radius_tolerance=25.0),
+            seed=7,
+        )
+        taken = []
+        original = simulation_module.take_snapshot
+
+        def counting(runtime):
+            taken.append(runtime)
+            return original(runtime)
+
+        monkeypatch.setattr(simulation_module, "take_snapshot", counting)
+        report = sim.stabilize(window=50.0, max_time=2_000.0)
+        assert report.healed
+        assert len(taken) == 1

@@ -174,6 +174,47 @@ class TestByteIdentity:
             finally:
                 sim.close()
 
+    def test_process_executor_overlaps_multi_shard_ops(self, monkeypatch):
+        """A driver op reaching several shards is sent to all of them
+        before the first reply is read, and the run still equals the
+        inline executor's."""
+        import repro.sim.shard as shard_module
+
+        inline = _drive_wide(ShardedSimulation(WIDE, CONFIG, seed=7, shards=4))
+        frames = []
+        send, recv = shard_module.send_frame, shard_module.recv_frame
+
+        def logged_send(conn, msg, *args, **kwargs):
+            frames.append("send")
+            return send(conn, msg, *args, **kwargs)
+
+        def logged_recv(conn, *args, **kwargs):
+            reply = recv(conn, *args, **kwargs)
+            frames.append("recv")
+            return reply
+
+        ops = []
+        drive = ShardedSimulation._drive
+
+        def marked(self, kind, desc):
+            start = len(frames)
+            result = drive(self, kind, desc)
+            ops.append(frames[start:])
+            return result
+
+        monkeypatch.setattr(shard_module, "send_frame", logged_send)
+        monkeypatch.setattr(shard_module, "recv_frame", logged_recv)
+        monkeypatch.setattr(ShardedSimulation, "_drive", marked)
+        sim = ShardedSimulation(WIDE, CONFIG, seed=7, shards=4,
+                                executor="process")
+        try:
+            assert _drive_wide(sim) == inline
+        finally:
+            sim.close()
+        assert any(op.count("send") > 1 for op in ops)
+        for op in ops:
+            assert op == ["send"] * (len(op) // 2) + ["recv"] * (len(op) // 2)
+
     def test_different_seeds_diverge(self):
         # Sanity: the fingerprint is sensitive enough to catch drift.
         assert _run(1, seed=7) != _run(1, seed=8)
@@ -306,6 +347,29 @@ class TestSameTimeInjections:
     def test_arming_order_and_identity(self):
         baseline = self._campaign(None)
         assert self._campaign(2) == baseline
+
+
+class TestOneSnapshotPerCheck:
+    def test_stabilize_queries_the_shards_once(self, monkeypatch):
+        """The invariant check gets the structure and the gap cells
+        from one snapshot round trip."""
+        from repro.sim.shard import _InlineExecutor
+
+        queries = []
+        original = _InlineExecutor.query_all
+
+        def counting(self, what, arg=None):
+            queries.append(what)
+            return original(self, what, arg)
+
+        monkeypatch.setattr(_InlineExecutor, "query_all", counting)
+        sim = ShardedSimulation(DEPLOYMENT, CONFIG, seed=7, shards=2)
+        try:
+            report = sim.stabilize(window=50.0, max_time=2_000.0)
+        finally:
+            sim.close()
+        assert report.healed
+        assert queries.count("snapshot") == 1
 
 
 class TestScenarioAndChaosWiring:

@@ -159,6 +159,38 @@ class TestGracefulDegradation:
             sim.close()
 
 
+    def test_fallback_inside_a_query_answers_every_shard(self):
+        """A worker lost during a read-only query of every shard: the
+        shards after it answer the query, not with their last
+        journaled reply."""
+        import os
+        import signal
+
+        def executed(kill):
+            sim = ShardedSimulation(
+                DEPLOYMENT,
+                CONFIG,
+                seed=SEED,
+                shards=SHARDS,
+                executor="process",
+                supervise={"retries": 0, "fallback_inline": True},
+            )
+            try:
+                sim.start()
+                sim.run_for(30.0)
+                if kill:
+                    proc = sim._executor._procs[0]
+                    os.kill(proc.pid, signal.SIGKILL)
+                    proc.join()
+                return sim._executor.query_all("executed")
+            finally:
+                sim.close()
+
+        drain_degradations()
+        assert executed(kill=True) == executed(kill=False)
+        drain_degradations()
+
+
 class TestSuperviseDictPlumbing:
     def test_scenario_shaped_dict_is_accepted(self, baseline):
         """The CLI folds --infra-chaos flags into a supervise dict."""
