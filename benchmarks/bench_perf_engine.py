@@ -7,6 +7,10 @@ Tracks the raw-speed trajectory of the simulator core across PRs:
 * radio delivery throughput (messages/sec through the shared
   ``partial``-bound deliver path), with an enabled tracer and with the
   one-predicate disabled-tracer fast path;
+* broadcast fan-out (``radio_fanout``): receivers/sec of cell
+  heartbeats from one head to 275 associates, each handled by a GS3-D
+  node program's ``on_message`` (which answers with an associate
+  heartbeat) — the receive path every real run pays for;
 * cached vs uncached ``connected_to`` on a static 2000-node network;
 * cached vs uncached visible-set sweeps (the shape of the I1/F4
   invariant checks, which recompute the reachable set per call);
@@ -53,7 +57,14 @@ import time
 import pytest
 
 from repro import GS3Config
-from repro.core import Gs3DynamicSimulation, IncrementalInvariantChecker
+from repro.core import (
+    Gs3DynamicNode,
+    Gs3DynamicSimulation,
+    IncrementalInvariantChecker,
+    NodeStatus,
+)
+from repro.core.messages import HeadIntraAlive
+from repro.core.runtime import Gs3Runtime
 from repro.geometry import HexLattice, Vec2
 from repro.net import Network, Radio, poisson_disk, rt_gap_cells, uniform_disk
 from repro.sim import (
@@ -205,6 +216,70 @@ def bench_radio_delivery(
         "messages": delivered[0],
         "seconds": elapsed,
         "messages_per_sec": delivered[0] / elapsed,
+    }
+
+
+def bench_broadcast_fanout(n_broadcasts: int = 200, receivers: int = 275) -> dict:
+    """Cell heartbeats through the node programs' receive path.
+
+    One head broadcasts ``head_intra_alive`` to ``receivers``
+    associates of its cell (275 is the fan-out of a ``configure``
+    broadcast in ``perfbench``).  Each associate's ``on_message``
+    handles it as in a configured cell, answering its head with an
+    ``associate_alive`` unicast that the head's ``on_message`` handles
+    in turn; ``deliveries`` counts both.
+    """
+    cfg = GS3Config()
+    deployment = uniform_disk(
+        cfg.ideal_radius, receivers, RngStreams(receivers)
+    )
+    network = deployment.build_network(max_range=cfg.recommended_max_range)
+    runtime = Gs3Runtime.build(network, cfg, keep_trace_records=False)
+    origin = runtime.lattice.origin
+    nodes = [Gs3DynamicNode(runtime, node_id) for node_id in range(len(network))]
+    head = nodes[0]
+    head.state.status = NodeStatus.WORK
+    head.state.cell_axial = (0, 0)
+    head.state.oil = head.state.current_il = origin
+    head.state.parent_id = head.node_id
+    for node in nodes[1:]:
+        node.state.status = NodeStatus.ASSOCIATE
+        node.state.head_id = head.node_id
+        node.state.head_position = head.position
+        node.state.cell_axial = (0, 0)
+        node.state.current_il = origin
+    beat = HeadIntraAlive(
+        sender=head.node_id,
+        position=head.position,
+        axial=(0, 0),
+        oil=origin,
+        current_il=origin,
+        icc_icp=(0, 0),
+        candidates=(),
+        hops_to_root=0,
+        root_position=origin,
+        root_epoch=1,
+        root_heard_at=0.0,
+    )
+    sim = runtime.sim
+    reached = 0
+    start = time.perf_counter()
+    for _ in range(n_broadcasts):
+        reached += runtime.radio.broadcast(
+            head.node_id, beat, tx_range=cfg.cell_broadcast_range
+        )
+        sim.run()
+    elapsed = time.perf_counter() - start
+    deliveries = runtime.tracer.counts["msg.deliver"]
+    assert reached == n_broadcasts * receivers
+    assert deliveries == 2 * reached  # every associate answered
+    return {
+        "broadcasts": n_broadcasts,
+        "receivers": reached,
+        "deliveries": deliveries,
+        "seconds": elapsed,
+        "receivers_per_sec": reached / elapsed,
+        "deliveries_per_sec": deliveries / elapsed,
     }
 
 
@@ -605,6 +680,7 @@ def run_all(smoke: bool = False, scale_nodes: int = 100_000) -> dict:
             int(50_000 * scale),
             tracer=Tracer(keep_records=False, enabled=False),
         ),
+        "radio_fanout": bench_broadcast_fanout(int(200 * scale)),
         "connected_to": bench_connected_to(
             network, max(3, int(30 * scale))
         ),

@@ -2,13 +2,18 @@
 
 All tunables of the three protocol layers live here, with the paper's
 geometric parameters (``R``, ``R_t``, ``GR``) first-class and every
-derived quantity (search radius, alpha, lattice spacing) computed once.
+derived quantity (search radius, alpha, lattice spacing) computed once:
+on first use, cached on the instance (``functools.cached_property``).
+The cache is not part of the configuration: ``==``, ``hash``,
+:meth:`GS3Config.to_dict` and pickles see the fields only, and
+``dataclasses.replace`` builds a config that computes its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict
 
 from ..geometry import search_alpha, search_radius
@@ -150,51 +155,57 @@ class GS3Config:
             name: getattr(self, name) for name in self.__dataclass_fields__
         }
 
+    def __getstate__(self) -> Dict[str, Any]:
+        # The fields only: the process executor and the sweep pool
+        # pickle configs, and their bytes must not depend on which
+        # derived values were read first.
+        return self.to_dict()
+
     # -- derived geometry ---------------------------------------------------
 
-    @property
+    @cached_property
     def lattice_spacing(self) -> float:
         """Distance between neighbouring ILs: ``sqrt(3) * R``."""
         return math.sqrt(3.0) * self.ideal_radius
 
-    @property
+    @cached_property
     def search_radius(self) -> float:
         """``sqrt(3)*R + 2*R_t`` — the local-coordination radius."""
         return search_radius(self.ideal_radius, self.radius_tolerance)
 
-    @property
+    @cached_property
     def alpha(self) -> float:
         """The angular margin ``asin(R_t / (sqrt(3) R))`` in radians."""
         return search_alpha(self.ideal_radius, self.radius_tolerance)
 
-    @property
+    @cached_property
     def max_cell_radius(self) -> float:
         """Invariant I2.4's bound on the cell radius:
         ``R + 2 R_t / sqrt(3)``."""
         return self.ideal_radius + 2.0 * self.radius_tolerance / math.sqrt(3.0)
 
-    @property
+    @cached_property
     def cell_broadcast_range(self) -> float:
         """Range for intra-cell broadcasts: covers the worst-case cell
         radius with an ``R_t`` margin for head/IL deviation."""
         return self.max_cell_radius + self.radius_tolerance
 
-    @property
+    @cached_property
     def neighbor_distance_low(self) -> float:
         """Corollary 1 lower bound: ``sqrt(3)*R - 2*R_t``."""
         return self.lattice_spacing - 2.0 * self.radius_tolerance
 
-    @property
+    @cached_property
     def neighbor_distance_high(self) -> float:
         """Corollary 1 upper bound: ``sqrt(3)*R + 2*R_t``."""
         return self.lattice_spacing + 2.0 * self.radius_tolerance
 
-    @property
+    @cached_property
     def failure_timeout(self) -> float:
         """Silence (ticks) after which a heartbeat peer is failed."""
         return self.failure_timeout_beats * self.heartbeat_interval
 
-    @property
+    @cached_property
     def root_stale_horizon(self) -> float:
         """Root-freshness horizon: ``root_stale_timeouts * failure_timeout``.
 
@@ -203,7 +214,7 @@ class GS3Config:
         """
         return self.root_stale_timeouts * self.failure_timeout
 
-    @property
+    @cached_property
     def recommended_max_range(self) -> float:
         """Node radio range sufficient for all protocol traffic.
 

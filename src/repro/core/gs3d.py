@@ -59,7 +59,7 @@ from .messages import (
     SanityCheckValid,
 )
 from .runtime import Gs3Runtime
-from .state import NodeStatus
+from .state import NeighborInfo, NodeStatus
 
 __all__ = ["Gs3DynamicNode"]
 
@@ -261,8 +261,9 @@ class Gs3DynamicNode(Gs3StaticNode):
         # members are served by reliable destination-aware unicast so
         # they keep hearing their head.
         reach = self.cfg.cell_broadcast_range - self.cfg.radius_tolerance
+        own = self.position
         for node_id, position in state.associate_positions.items():
-            if self.position.distance_to(position) > reach:
+            if own.distance_to(position) > reach:
                 self.rt.radio.unicast(self.node_id, node_id, alive)
 
     def _ranked_candidates(self, il: Vec2) -> List[Tuple[NodeId, Vec2]]:
@@ -1153,8 +1154,6 @@ class Gs3DynamicNode(Gs3StaticNode):
 
     def _update_neighbor(self, msg, sender: NodeId) -> None:
         """Record a neighbouring head's heartbeat in the neighbour table."""
-        from .state import NeighborInfo
-
         state = self.state
         if state.cell_axial is None:
             return
@@ -1253,10 +1252,8 @@ class Gs3DynamicNode(Gs3StaticNode):
 
         state = self.state
         if msg.is_root:
-            sender_is_big = (
-                self.rt.network.has_node(sender)
-                and self.rt.network.node(sender).is_big
-            )
+            sender_node = self.rt.network.get(sender)
+            sender_is_big = sender_node is not None and sender_node.is_big
             theirs = root_rank(msg.root_epoch, sender_is_big, sender)
         elif msg.root_epoch > state.root_epoch:
             # A non-root neighbour already serves a strictly newer
@@ -1485,7 +1482,7 @@ class Gs3DynamicNode(Gs3StaticNode):
     def _on_replacinghead(self, msg: ReplacingHead, sender: NodeId) -> None:
         if not self.state.status.is_head_like:
             return
-        sender_node = self.rt.network.node(sender) if self.rt.network.has_node(sender) else None
+        sender_node = self.rt.network.get(sender)
         if sender_node is None or not sender_node.is_big:
             return
         # The big node takes our cell back (end of BIG_SLIDE/BIG_MOVE).
@@ -1634,13 +1631,19 @@ class Gs3DynamicNode(Gs3StaticNode):
     # ------------------------------------------------------------------
 
     def on_message(self, payload, sender: NodeId) -> None:
+        """GS3-S's receive handler, with GS3-D's bookkeeping first (in
+        the same call: one frame per delivery)."""
         self._last_activity = self.rt.sim.now
         # Track the highest epoch ever heard from *any* message so a
         # later regeneration or resume always outbids it.
         epoch = getattr(payload, "root_epoch", 0)
         if epoch > self._max_epoch_heard:
             self._max_epoch_heard = epoch
-        super().on_message(payload, sender)
+        if not self.alive:
+            return
+        handler = self.handlers[type(payload)]
+        if handler is not None:
+            handler(self, payload, sender)
 
     def _on_org(self, msg, sender: NodeId) -> None:
         super()._on_org(msg, sender)

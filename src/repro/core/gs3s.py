@@ -25,9 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..geometry import Axial, SearchRegion, Vec2
+from ..geometry import Axial, SearchRegion, Vec2, hex_distance
 from ..net import ChannelLease, NodeId
 from .head_select import (
     drifted_candidate_ils,
@@ -44,10 +44,10 @@ from .messages import (
 from .runtime import Gs3Runtime
 from .state import NodeStatus, ProtocolState
 
-__all__ = ["Gs3StaticNode", "KnownHead"]
+__all__ = ["Gs3StaticNode", "HandlerTable", "KnownHead"]
 
 
-@dataclass
+@dataclass(slots=True)
 class KnownHead:
     """What a node has overheard about some head in its vicinity."""
 
@@ -61,6 +61,34 @@ class KnownHead:
     root_epoch: int = 0
     #: The head's advertised root freshness (``None`` = unknown).
     root_heard_at: Optional[float] = None
+
+
+class HandlerTable(dict):
+    """A node class's receive table: message type -> handler function.
+
+    Each type is resolved on its first delivery to exactly what
+    ``getattr(cls, "_on_" + type name in lower case, None)`` finds, so
+    subclass overrides resolve as attribute lookup does; ``None`` marks
+    a type the class ignores.  Every later delivery of the type is one
+    dict lookup.
+
+    A class's handlers are therefore read once per process: rebinding
+    ``_on_<kind>`` on a class after that type's first delivery (a test
+    patching a handler, say) is not seen until the table of that class
+    and of each subclass is cleared (``cls.handlers.clear()``).  A
+    handler set on an instance is never called.
+    """
+
+    __slots__ = ("cls",)
+
+    def __init__(self, cls: type):
+        super().__init__()
+        self.cls = cls
+
+    def __missing__(self, kind: type) -> Optional[Callable]:
+        handler = getattr(self.cls, f"_on_{kind.__name__.lower()}", None)
+        self[kind] = handler
+        return handler
 
 
 @dataclass
@@ -80,6 +108,13 @@ class Gs3StaticNode:
     cell with a full-circle search region); small nodes run
     ``Small_node`` (they boot passive and react to *org* messages).
     """
+
+    #: This class's receive table; every subclass gets its own.
+    handlers: HandlerTable
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.handlers = HandlerTable(cls)
 
     def __init__(self, runtime: Gs3Runtime, node_id: NodeId):
         self.rt = runtime
@@ -124,9 +159,10 @@ class Gs3StaticNode:
         location estimation error; the big node's estimate is always
         exact (it anchors the lattice).
         """
-        if self._location_error is None or self.phys.is_big:
-            return self.phys.position
-        return self.phys.position + self._location_error
+        phys = self.phys
+        if self._location_error is None or phys.is_big:
+            return phys.position
+        return phys.position + self._location_error
 
     @property
     def is_big(self) -> bool:
@@ -134,7 +170,8 @@ class Gs3StaticNode:
 
     @property
     def alive(self) -> bool:
-        return self.rt.network.has_node(self.node_id) and self.phys.alive
+        phys = self.rt.network.get(self.node_id)
+        return phys is not None and phys.alive
 
     @property
     def is_root(self) -> bool:
@@ -309,8 +346,6 @@ class Gs3StaticNode:
         axial = info.axial if info else None
         if axial is None or self.state.cell_axial is None:
             return None
-        from ..geometry import hex_distance
-
         if hex_distance(axial, self.state.cell_axial) != 1:
             return None
         return axial
@@ -399,12 +434,13 @@ class Gs3StaticNode:
     # -- message dispatch ------------------------------------------------------
 
     def on_message(self, payload: Any, sender: NodeId) -> None:
-        """Radio receive handler; dispatches on the message type."""
+        """Radio receive handler; dispatches on the message type
+        through the class's :class:`HandlerTable`."""
         if not self.alive:
             return
-        handler = getattr(self, f"_on_{type(payload).__name__.lower()}", None)
+        handler = self.handlers[type(payload)]
         if handler is not None:
-            handler(payload, sender)
+            handler(self, payload, sender)
 
     # -- Org: HEAD_ORG_RESP + ASSOCIATE_ORG_RESP --------------------------------
 
@@ -481,8 +517,9 @@ class Gs3StaticNode:
             return True
         if candidate_id == state.head_id:
             return False
-        current = self.position.distance_to(state.head_position)
-        offered = self.position.distance_to(candidate_position)
+        position = self.position
+        current = position.distance_to(state.head_position)
+        offered = position.distance_to(candidate_position)
         if offered < current - 1e-9:
             return True
         if abs(offered - current) <= 1e-9:
@@ -578,28 +615,27 @@ class Gs3StaticNode:
         """
         if not self.known_heads:
             return
+        position = self.position
         best = min(
             self.known_heads.values(),
-            key=lambda info: (
-                self.position.distance_to(info.position),
-                info.node_id,
-            ),
+            key=lambda info: (position.distance_to(info.position), info.node_id),
         )
         state = self.state
         if state.status is NodeStatus.ASSOCIATE and state.head_id == best.node_id:
             return
+        cfg = self.cfg
         if (
             state.status is NodeStatus.ASSOCIATE
             and state.head_id is not None
             and state.head_position is not None
             and self.rt.sim.now - state.head_last_heard
-            <= self.cfg.failure_timeout
+            <= cfg.failure_timeout
         ):
             # The current head is alive: only a strictly better head
             # justifies switching (prevents churn when the known-heads
             # table holds a mere subset of the neighbourhood).
-            current_d = self.position.distance_to(state.head_position)
-            if self.position.distance_to(best.position) >= current_d - 1e-9:
+            current_d = position.distance_to(state.head_position)
+            if position.distance_to(best.position) >= current_d - 1e-9:
                 return
         previous = state.head_id
         state.status = NodeStatus.ASSOCIATE
@@ -608,7 +644,7 @@ class Gs3StaticNode:
         state.cell_axial = best.axial
         state.current_il = best.il
         state.is_candidate = (
-            self.position.distance_to(best.il) <= self.cfg.radius_tolerance
+            position.distance_to(best.il) <= cfg.radius_tolerance
         )
         if previous != best.node_id:
             self.rt.trace(
@@ -643,17 +679,22 @@ class Gs3StaticNode:
         # size (Section 3.3.4).
         if self.position.distance_to(position) > self.cfg.recommended_max_range:
             return
+        # Positional, in field order: this runs for every head heard,
+        # and keyword construction costs about twice as much.
         self.known_heads[node_id] = KnownHead(
-            node_id=node_id,
-            position=position,
-            il=il,
-            axial=axial,
-            hops_to_root=hops,
-            last_heard=self.rt.sim.now,
-            root_epoch=root_epoch,
-            root_heard_at=root_heard_at,
+            node_id,
+            position,
+            il,
+            axial,
+            hops,
+            self.rt.sim.now,
+            root_epoch,
+            root_heard_at,
         )
 
     def forget_head(self, node_id: NodeId) -> None:
         """Drop a head from the known-heads table (on failure)."""
         self.known_heads.pop(node_id, None)
+
+
+Gs3StaticNode.handlers = HandlerTable(Gs3StaticNode)

@@ -10,9 +10,8 @@ construction and register themselves in :attr:`nodes`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict
-
-from typing import Optional
+from functools import cached_property
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..geometry import HexLattice, Vec2
 from ..net import (
@@ -46,9 +45,10 @@ class Gs3Runtime:
     lattice: HexLattice
     nodes: Dict[NodeId, "Gs3StaticNode"] = field(default_factory=dict)
 
-    @property
+    @cached_property
     def gr_direction(self) -> Vec2:
-        """The global reference direction as a unit vector."""
+        """The global reference direction as a unit vector (computed
+        once: the configuration is fixed for the run)."""
         return Vec2.unit(self.config.gr_orientation)
 
     def trace(self, category: str, node: NodeId, **details) -> None:

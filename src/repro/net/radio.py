@@ -216,25 +216,24 @@ class Radio:
             learns this through the absence of an acknowledgement — in
             simulation we surface it immediately as a return value).
         """
-        sender = self.network.node(sender_id)
+        network = self.network
+        sender = network.node(sender_id)
         if not sender.alive:
             return False
-        if not self.network.has_node(dest_id):
-            self.tracer.emit(self.sim.now, "msg.unreachable", node=sender_id)
+        now = self.sim.now
+        dest = network.get(dest_id)
+        if (
+            dest is None
+            or not dest.alive
+            or not sender.can_reach(dest.position)
+        ):
+            self.tracer.emit(now, "msg.unreachable", node=sender_id)
             return False
-        dest = self.network.node(dest_id)
-        if not dest.alive or not sender.can_reach(dest.position):
-            self.tracer.emit(self.sim.now, "msg.unreachable", node=sender_id)
-            return False
-        self.tracer.emit(self.sim.now, "msg.unicast", node=sender_id)
-        extra = (
-            self.faults.extra_latency(sender_id)
-            if self.faults is not None
-            else 0.0
-        )
+        self.tracer.emit(now, "msg.unicast", node=sender_id)
+        faults = self.faults
+        extra = faults.extra_latency(sender_id) if faults is not None else 0.0
         self._dispatch(
-            sender_id,
-            [(self.sim.now + self.hop_latency + extra, dest_id, payload)],
+            sender_id, ((now + self.hop_latency + extra, dest_id, payload),)
         )
         return True
 
@@ -261,13 +260,16 @@ class Radio:
             range;
             ``"sender_dead"`` — the sender is no longer alive.
         """
-        sender = self.network.node(sender_id)
+        network = self.network
+        sender = network.node(sender_id)
         if not sender.alive:
             return "sender_dead"
-        if not self.network.has_node(dest_id):
-            return "unreachable"
-        dest = self.network.node(dest_id)
-        if not dest.alive or not sender.can_reach(dest.position):
+        dest = network.get(dest_id)
+        if (
+            dest is None
+            or not dest.alive
+            or not sender.can_reach(dest.position)
+        ):
             return "unreachable"
         now = self.sim.now
         self.tracer.emit(now, "msg.data", node=sender_id)
@@ -280,7 +282,7 @@ class Radio:
             extra = faults.data_latency(sender_id)
         self._dispatch(
             sender_id,
-            [(now + self.hop_latency + extra, dest_id, payload)],
+            ((now + self.hop_latency + extra, dest_id, payload),),
             DATA_LANE_BASE + sender_id,
         )
         return "sent"
@@ -310,11 +312,8 @@ class Radio:
         deliveries = []
         outcomes: List[str] = []
         for dest_id, payload in items:
-            if not network.has_node(dest_id):
-                outcomes.append("unreachable")
-                continue
-            dest = network.node(dest_id)
-            if not dest.alive or not can_reach(dest.position):
+            dest = network.get(dest_id)
+            if dest is None or not dest.alive or not can_reach(dest.position):
                 outcomes.append("unreachable")
                 continue
             tracer.emit(now, "msg.data", node=sender_id)
@@ -400,10 +399,8 @@ class Radio:
         self.sim.resume_run(self._deliver, sender_id)
 
     def _deliver(self, sender_id: NodeId, dest_id: NodeId, payload: Any) -> None:
-        if not self.network.has_node(dest_id):
-            return
-        receiver = self.network.node(dest_id)
-        if not receiver.alive:
+        receiver = self.network.get(dest_id)
+        if receiver is None or not receiver.alive:
             return
         plane = self.data_plane
         if plane is not None and plane.claims(payload):

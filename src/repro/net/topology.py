@@ -306,6 +306,11 @@ class Network:
         """The node with the given id (KeyError if absent)."""
         return self._nodes[node_id]
 
+    def get(self, node_id: NodeId) -> Optional[PhysicalNode]:
+        """The node with the given id, or ``None`` if absent: one
+        lookup where ``has_node`` then ``node`` take two."""
+        return self._nodes.get(node_id)
+
     def has_node(self, node_id: NodeId) -> bool:
         """Whether a node with this id exists."""
         return node_id in self._nodes

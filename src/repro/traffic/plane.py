@@ -248,11 +248,11 @@ class ForwardingPlane:
     def _admit(self, packet: Packet) -> Optional[DataFrame]:
         """Log hop 0 and resolve trivial outcomes; a frame to route,
         or ``None`` when the packet terminated at the source."""
-        network = self.runtime.network
         now = self.runtime.sim.now
         src = packet.src
         self._log_hop(packet.pid, 0, src)
-        if not (network.has_node(src) and network.node(src).alive):
+        phys = self.runtime.network.get(src)
+        if phys is None or not phys.alive:
             self._record(packet.pid, "source_dead", now)
             return None
         if packet.src == packet.dst:
@@ -313,8 +313,8 @@ class ForwardingPlane:
         packet, holder, ttl, retries, hop = self.table.pop(
             self._held[holder].popleft()
         )
-        network = self.runtime.network
-        if not (network.has_node(holder) and network.node(holder).alive):
+        phys = self.runtime.network.get(holder)
+        if phys is None or not phys.alive:
             self._record(packet.pid, "node_died", self.runtime.sim.now)
             return
         self._forward(
@@ -328,9 +328,9 @@ class ForwardingPlane:
     # -- accounting ----------------------------------------------------
 
     def _log_hop(self, pid: int, hop: int, node: NodeId) -> None:
-        network = self.runtime.network
-        if network.has_node(node):
-            position = network.node(node).position
+        phys = self.runtime.network.get(node)
+        if phys is not None:
+            position = phys.position
             x, y = position.x, position.y
         else:
             x = y = 0.0
