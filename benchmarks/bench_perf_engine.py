@@ -28,8 +28,8 @@ Tracks the raw-speed trajectory of the simulator core across PRs:
   than 4 CPUs the numbers are recorded and the speedup assertion is
   skipped (``scaling_meaningful: false``);
 * the ``scale_100k`` campaign: 100k nodes deploy → self-configure →
-  chaos → heal, pinning events/sec and full/incremental
-  invariant-check latency at scale.
+  chaos → heal, pinning events/sec and the latency of the program's
+  invariant check at scale.
 
 Every section carries a ``provenance`` block (cpu_count, python/numpy
 versions, package version) so numbers are interpretable across hosts.
@@ -42,8 +42,9 @@ numbers.  Also runnable standalone::
 
 ``--smoke`` shrinks every workload to a seconds-long CI smoke run and
 writes nothing.  ``--scale-smoke`` runs a 10k-node scale campaign and
-exits nonzero if events/sec regresses more than 2x against
-``results/BENCH_scale_baseline.json`` (recorded on first run).
+exits nonzero if the configuration does not stabilise or events/sec
+regresses more than 2x against ``results/BENCH_scale_baseline.json``
+(recorded on first run).
 """
 
 import json
@@ -60,8 +61,8 @@ from repro import GS3Config
 from repro.core import (
     Gs3DynamicNode,
     Gs3DynamicSimulation,
-    IncrementalInvariantChecker,
     NodeStatus,
+    check_static_invariant,
 )
 from repro.core.messages import HeadIntraAlive
 from repro.core.runtime import Gs3Runtime
@@ -440,6 +441,12 @@ def bench_scale(
     """End-to-end scale campaign: deploy → self-configure → chaos →
     heal, with wall-clock, events/sec, and invariant-check latencies.
 
+    The invariant check is the program's own, as ``stabilize`` runs
+    it: one snapshot with its gap cells, then
+    ``check_static_invariant``.  It is timed after configuration and
+    after the heal; each is the first check on its topology, so each
+    includes a ``G_p`` adjacency build.
+
     The campaign is honest about partial convergence: if the
     configuration wave doesn't quiesce within ``max_configure_time``
     virtual ticks the section records ``stable: false`` and carries on
@@ -453,9 +460,15 @@ def bench_scale(
     sim.runtime.sim.max_events = 2_000_000_000
     build_s = time.perf_counter() - t0
 
-    checker = IncrementalInvariantChecker(
-        sim, field=deployment.field, dynamic=True
-    )
+    def check_invariants():
+        snapshot, gaps = sim._snapshot_and_gaps()
+        return snapshot, check_static_invariant(
+            snapshot,
+            sim.network,
+            field=deployment.field,
+            gap_axials=gaps,
+            dynamic=True,
+        )
 
     # Configure in window-sized chunks so long runs show progress on
     # stderr and a wall-clock budget bounds the worst case (a field
@@ -486,16 +499,10 @@ def bench_scale(
             break
     configure_s = time.perf_counter() - t1
     configure_ticks = sim.runtime.sim.now
-    heads = len(sim.snapshot().heads)
-
-    # Invariant-check latency: full rescan, then a warm incremental
-    # call with nothing dirty (the steady-state monitoring cost).
     t2 = time.perf_counter()
-    checker.full_rescan()
-    full_ms = (time.perf_counter() - t2) * 1e3
-    t3 = time.perf_counter()
-    checker.check()
-    warm_ms = (time.perf_counter() - t3) * 1e3
+    snapshot, _ = check_invariants()
+    configure_check_ms = (time.perf_counter() - t2) * 1e3
+    heads = len(snapshot.heads)
 
     # Chaos: kill a slice of the field plus one jammed disk, then let
     # the self-healing run.
@@ -506,7 +513,7 @@ def bench_scale(
         if not node.is_big
     ]
     kills = rng.sample(alive, max(1, int(len(alive) * kill_fraction)))
-    t4 = time.perf_counter()
+    t3 = time.perf_counter()
     for node_id in kills:
         sim.kill_node(node_id)
     jam_center = sim.network.node(rng.choice(alive)).position
@@ -514,14 +521,13 @@ def bench_scale(
         jam_center, 2.0 * config.ideal_radius, duration=heal_time / 2.0
     )
     sim.run_for(heal_time)
-    heal_s = time.perf_counter() - t4
-    t5 = time.perf_counter()
-    violations = checker.check()
-    churn_ms = (time.perf_counter() - t5) * 1e3
+    heal_s = time.perf_counter() - t3
+    t4 = time.perf_counter()
+    _, violations = check_invariants()
+    heal_check_ms = (time.perf_counter() - t4) * 1e3
 
     executed = sim.runtime.sim.executed_events
     run_wall = configure_s + heal_s
-    checker.close()
     return {
         "n_nodes": n_nodes,
         "field_radius": deployment.field.radius,
@@ -545,9 +551,8 @@ def bench_scale(
             "events_per_sec": executed / run_wall,
         },
         "invariants": {
-            "full_ms": full_ms,
-            "incremental_warm_ms": warm_ms,
-            "incremental_after_churn_ms": churn_ms,
+            "after_configure_ms": configure_check_ms,
+            "after_heal_ms": heal_check_ms,
         },
     }
 
@@ -635,14 +640,21 @@ def bench_shard_scaling(
 def run_scale_smoke(n_nodes: int = 10_000) -> int:
     """CI guard: 10k-node campaign vs the recorded baseline.
 
-    Fails (exit 1) when events/sec drops below half the baseline —
-    the ">2x regression" tripwire from the perf contract.  First run
-    records the baseline; delete ``results/BENCH_scale_baseline.json``
-    to re-baseline deliberately.
+    Fails (exit 1) when the configuration does not stabilise, or when
+    events/sec drops below half the baseline — the ">2x regression"
+    tripwire from the perf contract.  First run records the baseline;
+    delete ``results/BENCH_scale_baseline.json`` to re-baseline
+    deliberately.
     """
     report = bench_scale(n_nodes, max_configure_time=2_000.0)
     events_per_sec = report["events"]["events_per_sec"]
     print(json.dumps(report, indent=2))
+    stable = report["configure"]["stable"]
+    if not stable:
+        print(
+            f"scale-smoke: configuration not stable at "
+            f"t={report['configure']['ticks']:.0f} -> FAIL"
+        )
     baseline_path = RESULTS_DIR / SCALE_BASELINE_FILE
     if not baseline_path.exists():
         save_result(
@@ -654,7 +666,7 @@ def run_scale_smoke(n_nodes: int = 10_000) -> int:
             + "\n",
         )
         print("scale-smoke: baseline recorded")
-        return 0
+        return 0 if stable else 1
     baseline = json.loads(baseline_path.read_text())
     floor = baseline["events_per_sec"] / 2.0
     verdict = "ok" if events_per_sec >= floor else "REGRESSION"
@@ -663,7 +675,7 @@ def run_scale_smoke(n_nodes: int = 10_000) -> int:
         f"{baseline['events_per_sec']:,.0f} (floor {floor:,.0f}) "
         f"-> {verdict}"
     )
-    return 0 if events_per_sec >= floor else 1
+    return 0 if stable and events_per_sec >= floor else 1
 
 
 def run_all(smoke: bool = False, scale_nodes: int = 100_000) -> dict:

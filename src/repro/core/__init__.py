@@ -13,7 +13,6 @@ from .head_select import (
     neighbor_candidate_ils,
     rank_candidates,
 )
-from .incremental import IncrementalInvariantChecker
 from .invariants import (
     check_f4_coverage,
     check_i1_physical_connectivity,
@@ -56,7 +55,6 @@ __all__ = [
     "head_select",
     "neighbor_candidate_ils",
     "rank_candidates",
-    "IncrementalInvariantChecker",
     "check_f4_coverage",
     "check_i1_physical_connectivity",
     "check_i1_tree",

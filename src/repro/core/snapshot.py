@@ -187,9 +187,9 @@ class StructureSnapshot:
 def node_view(runtime: Gs3Runtime, node_id: NodeId) -> NodeView:
     """One node's current view — the per-node unit of take_snapshot.
 
-    Exposed so the incremental invariant checker can refresh exactly
-    the dirty nodes of a maintained view store and stay byte-identical
-    with a fresh full snapshot.
+    Exposed so a shard worker answers a snapshot query with the views
+    of the nodes it runs, built exactly as :func:`take_snapshot`
+    builds them.
     """
     node = runtime.nodes[node_id]
     in_network = runtime.network.has_node(node_id)

@@ -40,7 +40,9 @@ class NodeStatus(enum.Enum):
     @property
     def is_head_like(self) -> bool:
         """Whether the node currently acts as a cell head."""
-        return self in (NodeStatus.HEAD, NodeStatus.WORK)
+        # HEAD or WORK, tested on the value against a constant tuple:
+        # naming the members would look both up on every call.
+        return self._value_ in ("head", "work")
 
 
 @dataclass(slots=True)

@@ -39,6 +39,7 @@ the whole run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -181,6 +182,21 @@ class Scenario:
             if missing:
                 raise ValueError(
                     f"perturbation kind {p['kind']!r} needs {missing}: {p!r}"
+                )
+            # The run advances by these durations, and its clock never
+            # runs backwards: a churn window may be empty, a jam must
+            # last, and neither may be infinite.
+            if p["kind"] == "churn" and not (
+                0.0 <= float(p["duration"]) < math.inf
+            ):
+                raise ValueError(
+                    f"churn duration must be finite and >= 0: {p!r}"
+                )
+            if p["kind"] == "jam_region" and not (
+                0.0 < float(p["duration"]) < math.inf
+            ):
+                raise ValueError(
+                    f"jam_region duration must be finite and > 0: {p!r}"
                 )
         channel_data = data.get("channel")
         shards = data.get("shards")

@@ -650,9 +650,17 @@ class Simulator:
 
         Returns:
             The virtual time when the run stopped.
+
+        Raises:
+            SimulationError: if ``until`` is before the current time;
+                the clock never runs backwards.
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until} before now={self._now}"
+            )
         self._running = True
         entry_lane = self._lane
         queue = self._queue

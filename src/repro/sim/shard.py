@@ -1195,6 +1195,10 @@ class ShardedSimulation(PerturbationOps, PacketOps):
     # -- the epoch loop -------------------------------------------------
 
     def _run(self, until: Optional[float]) -> float:
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until} before now={self._now}"
+            )
         self.start()
         if until is None:
             # Run to quiescence: jump barrier-by-barrier until nothing

@@ -81,9 +81,6 @@ class Tracer:
         self.last_time_by_category: Dict[str, float] = {}
         self.truncated = False
         self._listeners: List[Callable[[TraceRecord], None]] = []
-        self._meta_listeners: List[
-            Callable[[float, str, Optional[int]], None]
-        ] = []
 
     def emit(
         self,
@@ -115,31 +112,10 @@ class Tracer:
                 )
             for listener in self._listeners:
                 listener(record)
-        if self._meta_listeners:
-            for meta_listener in self._meta_listeners:
-                meta_listener(time, category, node)
 
     def subscribe(self, listener: Callable[[TraceRecord], None]) -> None:
         """Register a callback invoked for every record."""
         self._listeners.append(listener)
-
-    def subscribe_meta(
-        self, listener: Callable[[float, str, Optional[int]], None]
-    ) -> None:
-        """Register a lightweight ``(time, category, node)`` callback.
-
-        Unlike :meth:`subscribe` this never forces :class:`TraceRecord`
-        construction when ``keep_records`` is off, so emit-heavy runs
-        (the 100k campaigns) pay only a tuple-free call per trace.
-        Used by the incremental invariant checker's dirty tracking.
-        """
-        self._meta_listeners.append(listener)
-
-    def unsubscribe_meta(
-        self, listener: Callable[[float, str, Optional[int]], None]
-    ) -> None:
-        """Remove a listener added with :meth:`subscribe_meta`."""
-        self._meta_listeners.remove(listener)
 
     def by_category(self, category: str) -> Iterator[TraceRecord]:
         """All stored records with the given category."""

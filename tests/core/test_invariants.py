@@ -1,15 +1,21 @@
-"""Negative-case tests for the invariant checkers.
+"""Negative-case tests for the invariant checkers, and differentials
+for their fast paths.
 
 The integration tests prove the checkers pass on correct structures;
 these prove they *fail* on corrupted ones, i.e. that the oracle
-actually discriminates.
+actually discriminates.  The last two classes pin the fast paths
+inside ``invariants.py`` (I3's spatial nearest-head index and I1's
+memoized ancestor walk) to their slow twins on churned runs.
 """
 
 import math
+import random
 
 import pytest
 
+from repro import GS3Config
 from repro.core import (
+    Gs3DynamicSimulation,
     NodeStatus,
     NodeView,
     StructureSnapshot,
@@ -21,7 +27,8 @@ from repro.core import (
     check_i3_associate_optimality,
 )
 from repro.geometry import Disk, HexLattice, Vec2
-from repro.net import Network
+from repro.net import Network, uniform_disk
+from repro.sim import RngStreams
 
 R = 100.0
 RT = 25.0
@@ -235,3 +242,122 @@ class TestCoverageChecker:
         views = simple_tree() + [uncovered]
         violations = check_f4_coverage(snapshot_of(views), net)
         assert any("belongs to no cell" in v for v in violations)
+
+
+def build_sim(seed=11, n=220, radius=190.0):
+    deployment = uniform_disk(radius, n, RngStreams(seed))
+    sim = Gs3DynamicSimulation.from_deployment(
+        deployment, GS3Config(), seed=seed
+    )
+    return sim, deployment
+
+
+def churn(sim, rng, ids, steps):
+    for _ in range(steps):
+        op = rng.choice(["kill", "kill", "revive", "move", "corrupt", "add"])
+        victim = rng.choice(ids)
+        if op == "kill":
+            sim.kill_node(victim)
+        elif op == "revive":
+            sim.revive_node(victim)
+        elif op == "corrupt":
+            sim.corrupt_node(victim)
+        elif op == "add":
+            ids.append(
+                sim.add_node(
+                    Vec2(rng.uniform(-180, 180), rng.uniform(-180, 180))
+                )
+            )
+        else:
+            sim.move_node(
+                victim,
+                Vec2(rng.uniform(-180, 180), rng.uniform(-180, 180)),
+            )
+
+
+class TestSpatialI3EqualsScan:
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_spatial_matches_all_pairs(self, seed):
+        sim, deployment = build_sim(seed=seed)
+        sim.run_until_stable(window=50.0, max_time=30_000.0)
+        rng = random.Random(seed)
+        ids = [n.node_id for n in sim.network if not n.is_big]
+        for _ in range(4):
+            churn(sim, rng, ids, steps=6)
+            sim.run_for(rng.choice([0.0, 2.0]))
+            snapshot = sim.snapshot()
+            for restrict, field in [(False, None), (True, deployment.field)]:
+                spatial = check_i3_associate_optimality(
+                    snapshot, restrict, field, spatial=True
+                )
+                scan = check_i3_associate_optimality(
+                    snapshot, restrict, field, spatial=False
+                )
+                assert spatial == scan  # same content, same order
+
+
+class TestMemoizedI1Tree:
+    def test_broken_parent_graphs_match_reference(self):
+        """Cycles, dead ancestors, and parentless chains produce the
+        same messages the per-head walk did."""
+        sim, deployment = build_sim(seed=6, n=150)
+        sim.run_until_stable(window=50.0, max_time=30_000.0)
+        rng = random.Random(17)
+        heads = [
+            node_id
+            for node_id, view in sim.snapshot().heads.items()
+            if not view.is_big
+        ]
+        # Wire a parent cycle and a dangling parent directly.
+        if len(heads) >= 4:
+            a, b, c, d = heads[:4]
+            sim.runtime.nodes[a].state.parent_id = b
+            sim.runtime.nodes[b].state.parent_id = a
+            sim.runtime.nodes[c].state.parent_id = None
+            sim.runtime.nodes[d].state.parent_id = 999_999
+        snapshot = sim.snapshot()
+        got = check_i1_tree(snapshot)
+        expected = reference_i1_tree(snapshot)
+        assert got == expected
+
+
+def reference_i1_tree(snapshot):
+    """The pre-memoization per-head walk, verbatim."""
+    violations = []
+    heads = snapshot.heads
+    if not heads:
+        return ["head graph is empty"]
+    roots = snapshot.roots
+    if len(roots) != 1:
+        violations.append(f"expected exactly one root, found {roots}")
+    else:
+        root = roots[0]
+        root_view = heads[root]
+        big_view = snapshot.views.get(snapshot.big_id)
+        if big_view is not None and big_view.is_head and root != snapshot.big_id:
+            violations.append(
+                f"big node {snapshot.big_id} is a head but root is {root}"
+            )
+        if root_view.hops_to_root != 0:
+            violations.append(f"root {root} has hops_to_root != 0")
+    for head_id in heads:
+        seen = set()
+        current = head_id
+        while True:
+            if current in seen:
+                violations.append(f"parent cycle through head {head_id}")
+                break
+            seen.add(current)
+            view = heads.get(current)
+            if view is None:
+                violations.append(
+                    f"head {head_id} has ancestor {current} that is not a live head"
+                )
+                break
+            if view.parent_id == current:
+                break
+            if view.parent_id is None:
+                violations.append(f"head {current} has no parent")
+                break
+            current = view.parent_id
+    return violations

@@ -1,7 +1,7 @@
 """Tests for nodes and the spatial-indexed network."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.geometry import Vec2
@@ -147,6 +147,9 @@ class TestSpatialQueries:
         assert net.nearest_node(Vec2(0, 0), 10.0) is None
 
     @given(st.lists(st.tuples(coords, coords), min_size=1, max_size=40))
+    # Within r + 1e-9 of the center but past the documented predicate
+    # d^2 <= r^2 + 1e-9: excluded.
+    @example(points=[(13.0, 243.0000000005)])
     def test_matches_bruteforce(self, points):
         net = Network(cell_size=37.0)
         nodes = [net.add_node(Vec2(x, y), 5.0) for x, y in points]
@@ -155,7 +158,7 @@ class TestSpatialQueries:
         expected = {
             n.node_id
             for n in nodes
-            if n.position.distance_to(center) <= radius + 1e-9
+            if n.position.distance_sq_to(center) <= radius * radius + 1e-9
         }
         found = {n.node_id for n in net.nodes_within(center, radius)}
         assert found == expected

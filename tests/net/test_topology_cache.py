@@ -10,7 +10,7 @@ invalidates them.
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Vec2
@@ -258,6 +258,9 @@ class TestCacheMatchesBruteForce:
         st.lists(st.tuples(coords, coords), min_size=2, max_size=15),
         st.floats(min_value=5.0, max_value=100.0),
     )
+    # Within r + 1e-9 of the sender but past the documented predicate
+    # d^2 <= r^2 + 1e-9: not a candidate.
+    @example(points=[(0.0, 0.0), (5.0, 6.103515625e-05)], tx_range=5.0)
     def test_broadcast_candidates_match_bruteforce(self, points, tx_range):
         net = Network(cell_size=13.0)
         nodes = [net.add_node(Vec2(x, y), 50.0) for x, y in points]
@@ -267,8 +270,8 @@ class TestCacheMatchesBruteForce:
                 for other in net
                 if other.alive
                 and other.node_id != node.node_id
-                and node.position.distance_to(other.position)
-                <= tx_range + 1e-9
+                and node.position.distance_sq_to(other.position)
+                <= tx_range * tx_range + 1e-9
             }
             found = {
                 n.node_id

@@ -231,6 +231,27 @@ class TestRunControl:
         sim.run_for(2.0)
         assert sim.now == 4.0
 
+    def test_past_deadline_rejected(self):
+        # The clock never runs backwards, with events pending or not.
+        sim = Simulator()
+        sim.schedule(20.0, lambda: None)
+        sim.run(until=15.0)
+        with pytest.raises(SimulationError, match="before now"):
+            sim.run(until=5.0)
+        with pytest.raises(SimulationError, match="before now"):
+            sim.run_for(-10.0)
+        assert sim.now == 15.0
+        assert sim.pending_events == 1
+        sim.run(until=15.0)  # a deadline at now is no step back
+        assert sim.now == 15.0
+        bare = Simulator()
+        bare.run_for(15.0)
+        with pytest.raises(SimulationError, match="before now"):
+            bare.run_for(-10.0)
+        assert bare.now == 15.0
+        sim.run()
+        assert sim.now == 20.0
+
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 

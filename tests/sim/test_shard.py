@@ -24,6 +24,7 @@ from repro.sim.engine import (
     DATA_LANE_BASE,
     DRIVER_BASE,
     EXTERNAL_LANE,
+    SimulationError,
 )
 from repro.sim.shard import (
     ShardedSimulation,
@@ -499,6 +500,26 @@ class TestUnsupportedOperations:
         try:
             with pytest.raises(ShardError):
                 sim.attach_energy()
+        finally:
+            sim.close()
+
+
+class TestClockNeverRunsBackwards:
+    def test_past_deadline_rejected(self):
+        sim = ShardedSimulation(DEPLOYMENT, CONFIG, seed=7, shards=2)
+        try:
+            sim.run_for(40.0)
+            digest = state_digest(sim.snapshot())
+            clock = sim.runtime.sim
+            for go_back in (
+                lambda: sim.run_for(-10.0),
+                lambda: clock.run(until=30.0),
+                lambda: clock.run_for(-10.0),
+            ):
+                with pytest.raises(SimulationError, match="before now"):
+                    go_back()
+            assert sim.now == 40.0
+            assert state_digest(sim.snapshot()) == digest
         finally:
             sim.close()
 

@@ -706,6 +706,34 @@ class TestMalformedInput:
         assert "unknown perturbation kind 'zap'" in out
 
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            (
+                {"kind": "churn", "at": 1, "duration": -300},
+                "churn duration must be finite and >= 0",
+            ),
+            (
+                {"kind": "jam_region", "at": 1, "center": [0, 0],
+                 "radius": 50, "duration": -5},
+                "jam_region duration must be finite and > 0",
+            ),
+            (
+                {"kind": "jam_region", "at": 1, "center": [0, 0],
+                 "radius": 50, "duration": 0},
+                "jam_region duration must be finite and > 0",
+            ),
+        ],
+        ids=["churn-negative", "jam-negative", "jam-zero"],
+    )
+    def test_bad_duration_rejected_before_running(
+        self, tmp_path, capsys, command, step, message
+    ):
+        data = dict(self.SCENARIO, perturbations=[step])
+        out = self._run(tmp_path, capsys, command, json.dumps(data))
+        assert message in out
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     def test_top_level_not_an_object(self, tmp_path, capsys, command):
         out = self._run(tmp_path, capsys, command, "[]")
         assert "expected a JSON object" in out
