@@ -461,7 +461,7 @@ def bench_scale(
     build_s = time.perf_counter() - t0
 
     def check_invariants():
-        snapshot, gaps = sim._snapshot_and_gaps()
+        snapshot, gaps = sim.snapshot_and_gaps()
         return snapshot, check_static_invariant(
             snapshot,
             sim.network,

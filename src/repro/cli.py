@@ -425,14 +425,14 @@ def cmd_configure(args) -> int:
     deployment = _deployment(args)
     sim = Gs3Simulation.from_deployment(deployment, config, seed=args.seed)
     sim.run_to_quiescence()
-    snapshot = sim.snapshot()
+    snapshot, gaps = sim.snapshot_and_gaps()
     distances = neighbor_distance_statistics(snapshot)
     quality = structure_quality(snapshot_to_clusters(snapshot))
     violations = check_static_fixpoint(
         snapshot,
         sim.network,
         field=deployment.field,
-        gap_axials=sim.gap_axials(),
+        gap_axials=gaps,
     )
     print(
         ascii_table(
@@ -488,12 +488,12 @@ def cmd_heal(args) -> int:
     healed_at = sim.run_until_stable(
         window=150.0, max_time=sim.now + 60000.0
     )
-    after = sim.snapshot()
+    after, gaps = sim.snapshot_and_gaps()
     violations = check_static_invariant(
         after,
         sim.network,
         field=deployment.field,
-        gap_axials=sim.gap_axials(),
+        gap_axials=gaps,
         dynamic=True,
     )
     print(
@@ -547,14 +547,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_chaos(args) -> int:
     from .perturb import run_chaos_replicate
+    from .perturb.chaos import ChaosConfig
     from .sim import campaign_identity
 
     def with_budget(data):
         if args.budget is None:
             return data
-        return dict(
-            data, chaos=dict(data.get("chaos", {}), heal_budget=args.budget)
-        )
+        chaos = dict(data.get("chaos", {}), heal_budget=args.budget)
+        ChaosConfig.from_dict(chaos)  # a bad --budget fails here, once
+        return dict(data, chaos=chaos)
 
     return _run_campaigns(
         args,

@@ -1636,10 +1636,10 @@ class Gs3DynamicNode(Gs3StaticNode):
         self._last_activity = self.rt.sim.now
         # Track the highest epoch ever heard from *any* message so a
         # later regeneration or resume always outbids it.
-        epoch = getattr(payload, "root_epoch", 0)
+        epoch = payload.root_epoch
         if epoch > self._max_epoch_heard:
             self._max_epoch_heard = epoch
-        if not self.alive:
+        if not self.phys.alive:
             return
         handler = self.handlers[type(payload)]
         if handler is not None:

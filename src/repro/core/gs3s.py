@@ -119,6 +119,13 @@ class Gs3StaticNode:
     def __init__(self, runtime: Gs3Runtime, node_id: NodeId):
         self.rt = runtime
         self.node_id = node_id
+        #: The run's configuration, bound once (it is fixed for the run).
+        self.cfg = runtime.config
+        #: The node's physical twin.  A program is built only after its
+        #: node joins the network, and no code replaces a live node's
+        #: ``PhysicalNode``, so the binding holds for the program's life
+        #: (:meth:`Network.remove_node` marks the node dead).
+        self.phys = runtime.network.node(node_id)
         self.state = ProtocolState()
         #: Heads this node has overheard, keyed by node id.
         self.known_heads: Dict[NodeId, KnownHead] = {}
@@ -143,15 +150,6 @@ class Gs3StaticNode:
     # -- convenience ----------------------------------------------------
 
     @property
-    def cfg(self):
-        return self.rt.config
-
-    @property
-    def phys(self):
-        """The node's physical twin."""
-        return self.rt.network.node(self.node_id)
-
-    @property
     def position(self) -> Vec2:
         """The node's *believed* position.
 
@@ -170,8 +168,7 @@ class Gs3StaticNode:
 
     @property
     def alive(self) -> bool:
-        phys = self.rt.network.get(self.node_id)
-        return phys is not None and phys.alive
+        return self.phys.alive
 
     @property
     def is_root(self) -> bool:
@@ -436,7 +433,7 @@ class Gs3StaticNode:
     def on_message(self, payload: Any, sender: NodeId) -> None:
         """Radio receive handler; dispatches on the message type
         through the class's :class:`HandlerTable`."""
-        if not self.alive:
+        if not self.phys.alive:
             return
         handler = self.handlers[type(payload)]
         if handler is not None:

@@ -54,6 +54,11 @@ class Message:
 
     sender: NodeId
 
+    #: The root epoch a message advertises; 0 for the kinds that carry
+    #: none.  A plain class attribute, not a field: the kinds that carry
+    #: an epoch declare their own ``root_epoch`` field.
+    root_epoch = 0
+
 
 # ---------------------------------------------------------------------------
 # Head organisation (GS3-S): HEAD_ORG / HEAD_ORG_RESP / ASSOCIATE_ORG_RESP

@@ -133,7 +133,7 @@ def stabilize(
 
     ``simulation`` is a :class:`Gs3Simulation` or a sharded
     :class:`~repro.sim.shard.ShardedSimulation`: everything used here —
-    ``start``, ``_snapshot_and_gaps``, ``network`` and the
+    ``start``, ``snapshot_and_gaps``, ``network`` and the
     ``runtime.sim`` clock and ``runtime.tracer`` — is the surface both
     share.
 
@@ -201,7 +201,7 @@ def stabilize(
     if check_invariants:
         from .invariants import check_static_invariant
 
-        snapshot, gaps = simulation._snapshot_and_gaps()
+        snapshot, gaps = simulation.snapshot_and_gaps()
         violations = check_static_invariant(
             snapshot,
             simulation.network,
@@ -399,11 +399,14 @@ class Gs3Simulation(PacketOps):
         The union of every head's gap findings, minus any cell that has
         since been headed.  Pass to the invariant checkers so cells
         adjoining a gap are classified as boundary cells (Section 3.3).
+        A check that needs the structure too calls
+        :meth:`snapshot_and_gaps`, which takes one snapshot for both.
         """
-        return self._snapshot_and_gaps()[1]
+        return self.snapshot_and_gaps()[1]
 
-    def _snapshot_and_gaps(self) -> Tuple[StructureSnapshot, set]:
-        """The structure and its :meth:`gap_axials`, from one snapshot."""
+    def snapshot_and_gaps(self) -> Tuple[StructureSnapshot, set]:
+        """The structure and its :meth:`gap_axials`, from one snapshot:
+        what an invariant verdict reads."""
         snapshot = take_snapshot(self.runtime)
         gaps = set()
         for node in self.runtime.nodes.values():

@@ -37,12 +37,11 @@ class NodeStatus(enum.Enum):
     #: The big node while away from any IL (GS3-M).
     BIG_MOVE = "big_move"
 
-    @property
-    def is_head_like(self) -> bool:
-        """Whether the node currently acts as a cell head."""
-        # HEAD or WORK, tested on the value against a constant tuple:
-        # naming the members would look both up on every call.
-        return self._value_ in ("head", "work")
+    def __init__(self, value: str):
+        #: Whether the node currently acts as a cell head (HEAD or
+        #: WORK).  Set once per member: handlers read it on nearly
+        #: every delivery.
+        self.is_head_like = value in ("head", "work")
 
 
 @dataclass(slots=True)

@@ -116,8 +116,9 @@ class Radio:
         # cross-boundary deliveries to the coordinator.  ``None`` means
         # every destination is local.
         self.shard_port = None
-        # Optional data plane (repro.traffic): claims data-frame
-        # payloads on delivery instead of the node's protocol handler.
+        # Optional data plane (repro.traffic): a delivery whose payload
+        # type is the plane's ``frame_type`` goes to its ``on_frame``
+        # instead of the node's protocol handler.
         self.data_plane = None
 
     # -- handler registry -----------------------------------------------
@@ -403,7 +404,7 @@ class Radio:
         if receiver is None or not receiver.alive:
             return
         plane = self.data_plane
-        if plane is not None and plane.claims(payload):
+        if plane is not None and type(payload) is plane.frame_type:
             self.tracer.emit(self.sim.now, "msg.deliver", node=dest_id)
             plane.on_frame(payload, dest_id, sender_id)
             return

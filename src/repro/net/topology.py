@@ -244,8 +244,13 @@ class Network:
         return nodes
 
     def remove_node(self, node_id: NodeId) -> None:
-        """Remove a node entirely (a permanent *leave*)."""
+        """Remove a node entirely (a permanent *leave*).
+
+        The removed node is marked dead too, so a node program, which
+        keeps its ``PhysicalNode``, sees it gone.
+        """
         node = self._nodes.pop(node_id)
+        node.alive = False
         self._discard_from_grid(node_id, self._key(node.position))
         self._free_row(node_id)
         if self._big_id == node_id:

@@ -73,6 +73,11 @@ class ChaosConfig:
     heal_budget: float = 30_000.0
 
     def __post_init__(self) -> None:
+        # The schedule spans ``duration`` at these rates, and
+        # ``stabilize`` runs in ``settle_window`` steps up to the
+        # budgets: a non-finite value would never end.  NaN fails
+        # every comparison (``NaN < 0`` is false), so each bound is
+        # tested as a range that NaN cannot satisfy.
         for name in (
             "duration",
             "kill_rate",
@@ -82,18 +87,29 @@ class ChaosConfig:
             "jam_rate",
         ):
             value = getattr(self, name)
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.jam_rate > 0.0 and (
-            self.jam_radius <= 0.0 or self.jam_duration <= 0.0
+            if not 0.0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value}"
+                )
+        if self.jam_rate > 0.0 and not (
+            0.0 < self.jam_radius < math.inf
+            and 0.0 < self.jam_duration < math.inf
         ):
             raise ValueError(
-                "jam_rate > 0 needs positive jam_radius and jam_duration"
+                "jam_rate > 0 needs finite positive jam_radius and "
+                "jam_duration"
+            )
+        if self.move_rate > 0.0 and not 0.0 < self.mean_move_step < math.inf:
+            raise ValueError(
+                "move_rate > 0 needs a finite positive mean_move_step, "
+                f"got {self.mean_move_step}"
             )
         for name in ("settle_window", "configure_budget", "heal_budget"):
             value = getattr(self, name)
-            if value <= 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not 0.0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value}"
+                )
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "ChaosConfig":

@@ -198,6 +198,12 @@ class Scenario:
                 raise ValueError(
                     f"jam_region duration must be finite and > 0: {p!r}"
                 )
+        # Every heal is awaited in steps of this window.
+        settle_window = float(data.get("settle_window", 120.0))
+        if not 0.0 < settle_window < math.inf:
+            raise ValueError(
+                f"settle_window must be finite and > 0, got {settle_window}"
+            )
         channel_data = data.get("channel")
         shards = data.get("shards")
         mobile = bool(data.get("mobile", False))
@@ -216,7 +222,7 @@ class Scenario:
             deployment_spec=dict(data["deployment"]),
             perturbations=perturbations,
             mobile=mobile,
-            settle_window=float(data.get("settle_window", 120.0)),
+            settle_window=settle_window,
             channel=(
                 ChannelFaultConfig.from_dict(channel_data)
                 if channel_data
@@ -498,12 +504,12 @@ class ScenarioExecution:
     def _final_result(self) -> ScenarioResult:
         sim = self.simulation
         scenario = self.scenario
-        final = sim.snapshot()
+        final, gaps = sim.snapshot_and_gaps()
         violations = check_static_invariant(
             final,
             sim.network,
             field=self.deployment.field,
-            gap_axials=sim.gap_axials(),
+            gap_axials=gaps,
             dynamic=True,
             gap_diameter=2.0
             * max(

@@ -178,7 +178,9 @@ class Simulator:
         # ``apply`` (driver operations).
         self._lane: Optional[int] = EXTERNAL_LANE
         self._lane_counters: dict = {}
-        self._now = 0.0
+        #: Current virtual time in ticks.  A plain attribute: only the
+        #: engine writes it.
+        self.now = 0.0
         self._executed = 0
         self._live = 0
         self._max_events = max_events
@@ -204,12 +206,7 @@ class Simulator:
         self._wheel_minheap: List[tuple] = []
         self._wheel_min: Optional[tuple] = None
 
-    # -- clock -----------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in ticks."""
-        return self._now
+    # -- counters --------------------------------------------------------
 
     @property
     def executed_events(self) -> int:
@@ -302,9 +299,9 @@ class Simulator:
         invoking the callback (for a radio delivery: the destination
         node's lane).
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} before now={self._now}"
+                f"cannot schedule at {time} before now={self.now}"
             )
         event = Event(self, time, callback, lane)
         heapq.heappush(self._queue, (time, key, event))
@@ -369,7 +366,7 @@ class Simulator:
                 if time != now:
                     if time > self._horizon:
                         break
-                    self._now = now = time
+                    self.now = now = time
                 self._executed = executed + 1
                 self._live -= 1
                 self._lane = lane = item[2]
@@ -427,7 +424,7 @@ class Simulator:
     def _run_due(self) -> None:
         """Execute the pending events at ``now`` that sort below
         :data:`EXTERNAL_LANE`."""
-        bound = (self._now, (EXTERNAL_LANE,))
+        bound = (self.now, (EXTERNAL_LANE,))
         queue = self._queue
         while True:
             while queue and queue[0][2].cancelled:
@@ -451,7 +448,7 @@ class Simulator:
         """Schedule ``callback`` to run ``delay`` ticks from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        time = self._now + delay
+        time = self.now + delay
         # ``claim_key``, inlined: this is the hot scheduling path.
         lane = self._lane
         if lane is None:
@@ -471,9 +468,9 @@ class Simulator:
         _push=heapq.heappush,
     ) -> EventHandle:
         """Schedule ``callback`` at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} before now={self._now}"
+                f"cannot schedule at {time} before now={self.now}"
             )
         key = self.claim_key()
         event = Event(self, time, callback, key[0])
@@ -510,7 +507,7 @@ class Simulator:
         if self._wheel_width is None:
             hint = interval_hint if interval_hint else delay
             self._wheel_width = hint if hint > 0 else 1.0
-        time = self._now + delay
+        time = self.now + delay
         seq = self.claim_key()
         event = Event(self, time, callback, seq[0])
         key = int(time // self._wheel_width)
@@ -625,7 +622,7 @@ class Simulator:
                 continue
             event.consumed = True
             self._live -= 1
-            self._now = time
+            self.now = time
             self._executed += 1
             if self._executed > self._max_events:
                 raise self._exceeded(event)
@@ -657,9 +654,9 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("simulator is not re-entrant")
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"cannot run until {until} before now={self._now}"
+                f"cannot run until {until} before now={self.now}"
             )
         self._running = True
         entry_lane = self._lane
@@ -699,7 +696,7 @@ class Simulator:
                 else:
                     break
                 if not no_deadline and time > until:
-                    self._now = until
+                    self.now = until
                     break
                 if from_wheel:
                     event = self._wheel_pop()
@@ -709,7 +706,7 @@ class Simulator:
                     pop(queue)
                 event.consumed = True
                 self._live -= 1
-                self._now = time
+                self.now = time
                 self._executed += 1
                 if self._executed > max_events:
                     raise self._exceeded(event)
@@ -721,16 +718,16 @@ class Simulator:
             self._lane = entry_lane
         if (
             until is not None
-            and self._now < until
+            and self.now < until
             and not self._queue
             and self._wheel_min is None
         ):
-            self._now = until
-        return self._now
+            self.now = until
+        return self.now
 
     def run_for(self, duration: float) -> float:
         """Run for ``duration`` ticks of virtual time."""
-        return self.run(until=self._now + duration)
+        return self.run(until=self.now + duration)
 
     def _peek(self) -> Optional[Event]:
         queue = self._queue

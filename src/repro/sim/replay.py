@@ -64,6 +64,9 @@ class ReplayState:
     time: float
     simulation: Any
     snapshot: Any
+    #: The cells known R_t-gap perturbed at ``time``, read from the
+    #: same snapshot (``simulation.snapshot_and_gaps``).
+    gap_axials: Any
     field: Any
     #: Whether the scenario ran to completion before the horizon.
     completed: bool
@@ -87,13 +90,15 @@ def replay_to(scenario, seed: int, t: float) -> ReplayState:
     execution = ScenarioExecution(replayed, horizon=t)
     result = execution.execute()
     simulation = execution.simulation
+    snapshot, gaps = simulation.snapshot_and_gaps()
     return ReplayState(
         scenario=replayed,
         seed=int(seed),
         requested_time=t,
         time=simulation.now,
         simulation=simulation,
-        snapshot=simulation.snapshot(),
+        snapshot=snapshot,
+        gap_axials=gaps,
         field=execution.deployment.field,
         completed=result is not None,
         result=result,
@@ -213,7 +218,7 @@ def invariant_violated(state: ReplayState) -> bool:
             state.snapshot,
             state.simulation.network,
             field=state.field,
-            gap_axials=state.simulation.gap_axials(),
+            gap_axials=state.gap_axials,
             dynamic=True,
         )
     )

@@ -1429,9 +1429,9 @@ class ShardedSimulation(PerturbationOps, PacketOps):
 
     # -- observation -----------------------------------------------------
 
-    def _snapshot_and_gaps(self):
+    def snapshot_and_gaps(self):
         """The merged structure and its :meth:`gap_axials`, from one
-        snapshot query."""
+        snapshot query (see :meth:`Gs3Simulation.snapshot_and_gaps`)."""
         from ..core.snapshot import StructureSnapshot
 
         views: Dict[int, Any] = {}
@@ -1450,10 +1450,10 @@ class ShardedSimulation(PerturbationOps, PacketOps):
         return snapshot, gaps - set(snapshot.head_by_axial)
 
     def snapshot(self):
-        return self._snapshot_and_gaps()[0]
+        return self.snapshot_and_gaps()[0]
 
     def gap_axials(self) -> set:
-        return self._snapshot_and_gaps()[1]
+        return self.snapshot_and_gaps()[1]
 
     # -- convergence ------------------------------------------------------
 

@@ -127,6 +127,10 @@ class InFlightTable:
 class ForwardingPlane:
     """Hop-by-hop packet forwarding over one runtime's radio."""
 
+    #: The payload type the radio hands to :meth:`on_frame` instead of a
+    #: node's protocol handler (compared with ``type(payload) is``).
+    frame_type = DataFrame
+
     def __init__(
         self,
         runtime: Gs3Runtime,
@@ -159,10 +163,6 @@ class ForwardingPlane:
         runtime.radio.data_plane = self
 
     # -- Radio integration -------------------------------------------
-
-    def claims(self, payload: object) -> bool:
-        """Radio asks: is this delivery ours rather than the protocol's?"""
-        return type(payload) is DataFrame
 
     def on_frame(self, frame: DataFrame, dest_id: NodeId, sender_id: NodeId) -> None:
         """A frame arrived at ``dest_id`` (alive — radio checked)."""

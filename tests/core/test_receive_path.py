@@ -1,16 +1,23 @@
 """The protocol receive path: table dispatch, liveness, the probe hook.
 
 A delivery reaches a node program in three steps: one node lookup at
-the radio (``Radio._deliver``), one at the node (``alive``), and one
-lookup in the node class's :class:`~repro.core.gs3s.HandlerTable`.
-These tests pin that the table resolves every message type exactly as
-``getattr(cls, "_on_" + name.lower(), None)`` did, that a dead node
-still does nothing (GS3-D's bookkeeping first, as before), and that a
+the radio (``Radio._deliver``), which hands data frames — payloads of
+the attached plane's ``frame_type`` — to the plane and everything else
+to the node's registered handler; a liveness read of the node
+program's bound ``PhysicalNode``; and one lookup in the node class's
+:class:`~repro.core.gs3s.HandlerTable`.  These tests pin that the
+table resolves every message type exactly as ``getattr(cls, "_on_" +
+name.lower(), None)`` did, that a dead node still does nothing (GS3-D's
+bookkeeping first, as before), that the values bound once (``cfg``,
+``phys``, ``Message.root_epoch``) read as the lookups they replace,
+that a protocol delivery makes no call into a plane, and that a
 handler wrapped at ``Radio.register`` — the hook per-kind profilers
 use — sees every delivery.
 """
 
+import dataclasses
 import inspect
+import pickle
 
 import pytest
 
@@ -47,12 +54,14 @@ class Stray(Message):
     """A message type no node program handles."""
 
 
-def two_node_runtime(node_class):
+def two_node_runtime(node_class, config=CFG):
     """A root head at the origin and an associate one cell away."""
     network = Network(cell_size=200.0)
-    network.add_node(Vec2(0, 0), CFG.recommended_max_range, is_big=True)
-    network.add_node(Vec2(CFG.lattice_spacing, 0), CFG.recommended_max_range)
-    runtime = Gs3Runtime.build(network, CFG, seed=1)
+    network.add_node(Vec2(0, 0), config.recommended_max_range, is_big=True)
+    network.add_node(
+        Vec2(config.lattice_spacing, 0), config.recommended_max_range
+    )
+    runtime = Gs3Runtime.build(network, config, seed=1)
     head = node_class(runtime, 0)
     other = node_class(runtime, 1)
     head.state.status = NodeStatus.WORK
@@ -155,6 +164,128 @@ class TestLiveness:
         assert not other.alive
         assert runtime.network.get(1) is None
         assert runtime.network.get(0) is runtime.network.node(0)
+
+
+class TestBindings:
+    """What a node program binds once reads as the lookup it replaces."""
+
+    @pytest.mark.parametrize("node_class", NODE_CLASSES)
+    def test_bound_to_the_network_node_and_the_config(self, node_class):
+        runtime, head, other = two_node_runtime(node_class)
+        for program in (head, other):
+            assert program.phys is runtime.network.node(program.node_id)
+            assert program.cfg is runtime.config
+
+    @pytest.mark.parametrize("node_class", NODE_CLASSES)
+    @pytest.mark.parametrize("error", [0.0, 3.0], ids=["exact", "erred"])
+    def test_reads_follow_the_network(self, node_class, error):
+        config = dataclasses.replace(CFG, location_error=error)
+        runtime, big, small = two_node_runtime(node_class, config)
+        network = runtime.network
+        erred = small._location_error
+        assert (erred is not None) == bool(error)
+
+        def believed(true_position):
+            return true_position if erred is None else true_position + erred
+
+        assert big.is_big and not small.is_big
+        assert small.position == believed(network.node(1).position)
+        assert big.position == network.node(0).position  # the anchor is exact
+        network.move_node(1, Vec2(40.0, -30.0))
+        network.move_node(0, Vec2(5.0, 5.0))
+        assert small.position == believed(Vec2(40.0, -30.0))
+        assert big.position == Vec2(5.0, 5.0)
+        network.kill_node(1)
+        assert not small.alive and big.alive
+        network.revive_node(1)
+        assert small.alive
+        network.remove_node(1)
+        assert not small.alive
+        assert network.get(1) is None
+        assert big.alive and big.is_big  # untouched by the removal
+
+    @pytest.mark.parametrize("kind", MESSAGE_TYPES, ids=lambda k: k.__name__)
+    def test_root_epoch_defaults_to_zero(self, kind):
+        names = [field.name for field in dataclasses.fields(kind)]
+        required = {
+            field.name: field.name
+            for field in dataclasses.fields(kind)
+            if field.default is dataclasses.MISSING
+        }
+        message = kind(**required)
+        if "root_epoch" in names:
+            assert kind(**required, root_epoch=5).root_epoch == 5
+        else:
+            # A class attribute, never a field: the message's fields,
+            # repr, equality and pickle are those it always had.
+            assert message.root_epoch == 0
+            assert "root_epoch" not in vars(message)
+            assert "root_epoch" not in repr(message)
+        assert pickle.loads(pickle.dumps(message)) == message
+        assert "root_epoch" not in [
+            field.name for field in dataclasses.fields(Message)
+        ]
+
+    def test_max_epoch_heard_bookkeeping(self):
+        runtime, head, _ = two_node_runtime(Gs3DynamicNode)
+        steps = [
+            (inter_alive(1, epoch=7), 7),
+            (messages.AssociateAlive(sender=1, position=Vec2(0, 0)), 7),
+            (messages.ParentSeekAck(sender=1, axial=(1, 0),
+                                    hops_to_root=1, root_epoch=9), 9),
+            (Stray(sender=1), 9),
+            (inter_alive(1, epoch=4), 9),
+            (messages.AssociateRetreat(sender=1), 9),
+        ]
+        for message, expected in steps:
+            head.on_message(message, 1)
+            assert head._max_epoch_heard == expected
+
+
+class _SpyPlane:
+    """A plane taking ``bytes`` frames that records every call made on
+    it, under whatever method name the caller used."""
+
+    frame_type = bytes
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        def method(*args):
+            self.calls.append((name, args))
+
+        return method
+
+
+class TestNoPlaneCallPerProtocolDelivery:
+    def test_only_data_frames_reach_the_plane(self):
+        network = Network(cell_size=50.0)
+        for x in (0, 10, 20, 30):
+            network.add_node(Vec2(x, 0), 50.0)
+        sim = Simulator()
+        radio = Radio(network, sim)
+        plane = radio.data_plane = _SpyPlane()
+        got = []
+        for node_id in range(4):
+            radio.register(
+                node_id, lambda p, s, n=node_id: got.append((n, p))
+            )
+        assert radio.broadcast(0, "beat", tx_range=40.0) == 3
+        assert radio.unicast(0, 2, "ack")
+        assert radio.send_data(0, 3, b"frame") == "sent"
+        assert radio.send_data_batch(1, [(2, b"f1"), (0, b"f2")]) == [
+            "sent", "sent",
+        ]
+        sim.run()
+        assert sorted(got) == [
+            (1, "beat"), (2, "ack"), (2, "beat"), (3, "beat"),
+        ]
+        assert sorted(plane.calls) == [
+            ("on_frame", (b"f1", 2, 1)),
+            ("on_frame", (b"f2", 0, 1)),
+            ("on_frame", (b"frame", 3, 0)),
+        ]
 
 
 class TestCachedReads:

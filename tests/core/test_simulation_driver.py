@@ -2,6 +2,8 @@
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.core import GS3Config, Gs3Simulation
 from repro.geometry import Vec2
 from repro.net import Network
@@ -67,11 +69,38 @@ class TestRunUntilStableZeroInstant:
         assert converged_at == 0.0
 
 
+def count_snapshots(monkeypatch):
+    """Count ``take_snapshot`` calls (both ``snapshot`` and
+    ``snapshot_and_gaps`` take theirs through it)."""
+    import repro.core.simulation as simulation_module
+
+    taken = []
+    original = simulation_module.take_snapshot
+
+    def counting(runtime):
+        taken.append(runtime)
+        return original(runtime)
+
+    monkeypatch.setattr(simulation_module, "take_snapshot", counting)
+    return taken
+
+
 class TestOneSnapshotPerCheck:
+    """Every invariant verdict reads the structure and the gap cells
+    from one snapshot (``snapshot_and_gaps``)."""
+
+    #: Stabilising without a check takes no snapshot, so each count
+    #: below is the verdicts' own.
+    SCENARIO = {
+        "seed": 7,
+        "config": {"ideal_radius": 100.0, "radius_tolerance": 25.0},
+        "deployment": {"kind": "uniform", "field_radius": 170.0,
+                       "n_nodes": 80},
+        "perturbations": [],
+        "settle_window": 50.0,
+    }
+
     def test_stabilize_takes_one_snapshot(self, monkeypatch):
-        """The invariant check reads the structure and the gap cells
-        from one snapshot."""
-        import repro.core.simulation as simulation_module
         from repro.core import Gs3DynamicSimulation
         from repro.net import deployment_from_spec
         from repro.sim import RngStreams
@@ -84,14 +113,43 @@ class TestOneSnapshotPerCheck:
             GS3Config(ideal_radius=100.0, radius_tolerance=25.0),
             seed=7,
         )
-        taken = []
-        original = simulation_module.take_snapshot
-
-        def counting(runtime):
-            taken.append(runtime)
-            return original(runtime)
-
-        monkeypatch.setattr(simulation_module, "take_snapshot", counting)
+        taken = count_snapshots(monkeypatch)
         report = sim.stabilize(window=50.0, max_time=2_000.0)
         assert report.healed
         assert len(taken) == 1
+
+    def test_scenario_verdict_takes_one_snapshot(self, monkeypatch):
+        from repro.scenario import Scenario, run_scenario
+
+        taken = count_snapshots(monkeypatch)
+        result = run_scenario(Scenario.from_dict(self.SCENARIO))
+        assert result.ok()
+        assert len(taken) == 1
+
+    def test_replay_verdict_takes_one_snapshot(self, monkeypatch):
+        from repro.scenario import Scenario
+        from repro.sim.replay import invariant_violated, replay_to
+
+        taken = count_snapshots(monkeypatch)
+        state = replay_to(Scenario.from_dict(self.SCENARIO), 7, 120.0)
+        assert not invariant_violated(state)
+        assert len(taken) == 1
+
+    @pytest.mark.parametrize(
+        "command, snapshots",
+        # ``heal`` also takes one before the perturbation, to pick its
+        # victim head.
+        [("configure", 1), ("heal", 2)],
+    )
+    def test_cli_verdict_takes_one_snapshot(
+        self, monkeypatch, capsys, command, snapshots
+    ):
+        from repro.cli import main
+
+        taken = count_snapshots(monkeypatch)
+        code = main(
+            ["--seed", "5", "--nodes", "300", "--field-radius", "200",
+             command]
+        )
+        assert code == 0, capsys.readouterr().out
+        assert len(taken) == snapshots

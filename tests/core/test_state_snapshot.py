@@ -39,6 +39,11 @@ class TestNodeStatus:
         ):
             assert not status.is_head_like
 
+    def test_head_like_for_every_member(self):
+        # A member attribute set once per member, with this truth table.
+        for status in NodeStatus:
+            assert status.is_head_like is (status.value in ("head", "work"))
+
 
 class TestProtocolState:
     def test_defaults(self):

@@ -280,14 +280,14 @@ class TestChannelManager:
         assert times == [2.0, 7.0]
 
 class _RecordingPlane:
-    """Claims every payload; records (time, payload, dest, sender)."""
+    """Takes every ``str`` payload (the frames below are strings);
+    records (time, payload, dest, sender)."""
+
+    frame_type = str
 
     def __init__(self, sim):
         self.sim = sim
         self.frames = []
-
-    def claims(self, payload):
-        return True
 
     def on_frame(self, payload, dest_id, sender_id):
         self.frames.append((self.sim.now, payload, dest_id, sender_id))

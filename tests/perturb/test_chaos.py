@@ -1,5 +1,7 @@
 """Tests for chaos campaigns and stabilization verdicts."""
 
+import math
+
 import pytest
 
 from repro.core import GS3Config, Gs3DynamicSimulation
@@ -46,6 +48,27 @@ class TestChaosConfig:
             ChaosConfig(jam_rate=0.1, jam_radius=0.0)
         with pytest.raises(ValueError):
             ChaosConfig(heal_budget=0.0)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"duration": math.inf},
+            {"duration": math.nan},
+            {"kill_rate": math.nan},
+            {"join_rate": math.inf},
+            {"jam_rate": 0.1, "jam_duration": math.inf},
+            {"jam_rate": 0.1, "jam_radius": math.nan},
+            {"move_rate": 0.1, "mean_move_step": 0.0},
+            {"move_rate": 0.1, "mean_move_step": math.nan},
+            {"settle_window": math.nan},
+            {"configure_budget": math.inf},
+            {"heal_budget": -5.0},
+        ],
+        ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_rejects_non_finite_or_out_of_range_values(self, overrides):
+        with pytest.raises(ValueError, match="finite"):
+            ChaosConfig.from_dict(overrides)
 
     def test_round_trip(self):
         config = ChaosConfig(duration=100.0, kill_rate=0.01, jam_rate=0.001)

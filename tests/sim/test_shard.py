@@ -350,26 +350,64 @@ class TestSameTimeInjections:
         assert self._campaign(2) == baseline
 
 
+def count_queries(monkeypatch):
+    """Record every inline-executor shard query by kind."""
+    from repro.sim.shard import _InlineExecutor
+
+    queries = []
+    original = _InlineExecutor.query_all
+
+    def counting(self, what, arg=None):
+        queries.append(what)
+        return original(self, what, arg)
+
+    monkeypatch.setattr(_InlineExecutor, "query_all", counting)
+    return queries
+
+
 class TestOneSnapshotPerCheck:
+    """Every invariant verdict gets the structure and the gap cells
+    from one snapshot round trip (``snapshot_and_gaps``)."""
+
+    #: Stabilising without a check queries no snapshot, so each count
+    #: below is the verdicts' own.
+    SCENARIO = {
+        "seed": 7,
+        "config": {"ideal_radius": 100.0, "radius_tolerance": 25.0},
+        "deployment": DEPLOYMENT,
+        "perturbations": [],
+        "settle_window": 50.0,
+        "shards": 2,
+    }
+
     def test_stabilize_queries_the_shards_once(self, monkeypatch):
-        """The invariant check gets the structure and the gap cells
-        from one snapshot round trip."""
-        from repro.sim.shard import _InlineExecutor
-
-        queries = []
-        original = _InlineExecutor.query_all
-
-        def counting(self, what, arg=None):
-            queries.append(what)
-            return original(self, what, arg)
-
-        monkeypatch.setattr(_InlineExecutor, "query_all", counting)
+        queries = count_queries(monkeypatch)
         sim = ShardedSimulation(DEPLOYMENT, CONFIG, seed=7, shards=2)
         try:
             report = sim.stabilize(window=50.0, max_time=2_000.0)
         finally:
             sim.close()
         assert report.healed
+        assert queries.count("snapshot") == 1
+
+    def test_scenario_verdict_queries_the_shards_once(self, monkeypatch):
+        from repro.scenario import Scenario, run_scenario
+
+        queries = count_queries(monkeypatch)
+        result = run_scenario(Scenario.from_dict(self.SCENARIO))
+        assert result.ok()
+        assert queries.count("snapshot") == 1
+
+    def test_replay_verdict_queries_the_shards_once(self, monkeypatch):
+        from repro.scenario import Scenario
+        from repro.sim.replay import invariant_violated, replay_to
+
+        queries = count_queries(monkeypatch)
+        state = replay_to(Scenario.from_dict(self.SCENARIO), 7, 120.0)
+        try:
+            assert not invariant_violated(state)
+        finally:
+            state.simulation.close()
         assert queries.count("snapshot") == 1
 
 

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import math
 import os
 import time
 
@@ -694,6 +695,26 @@ class TestMalformedInput:
         assert out.count("\n") == 1
         return out
 
+    @staticmethod
+    def _record_runs(monkeypatch):
+        """Stub out the two ways a command starts running: a campaign
+        (``sweep``/``chaos``/``traffic``) and a scenario execution
+        (``scenario``/``replay``/``bisect``); returns what started."""
+        import repro.sim
+        from repro.scenario import ScenarioExecution
+
+        started = []
+
+        def execution(self, *args, **kwargs):
+            started.append("scenario")
+            raise RuntimeError("a scenario started")
+
+        monkeypatch.setattr(
+            repro.sim, "run_campaign", lambda *a, **k: started.append(1)
+        )
+        monkeypatch.setattr(ScenarioExecution, "__init__", execution)
+        return started
+
     @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
     def test_trailing_comma(self, tmp_path, capsys, command):
         text = json.dumps(self.SCENARIO)[:-1] + ",}"
@@ -767,6 +788,57 @@ class TestMalformedInput:
             tmp_path, capsys, command + [count, "2"], json.dumps(data)
         )
         assert message in out
+        assert started == []
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "window",
+        [-5.0, 0.0, math.inf, math.nan],
+        ids=["negative", "zero", "infinite", "nan"],
+    )
+    def test_bad_settle_window_rejected_before_running(
+        self, tmp_path, capsys, monkeypatch, command, window
+    ):
+        started = self._record_runs(monkeypatch)
+        data = dict(self.SCENARIO, settle_window=window)
+        out = self._run(tmp_path, capsys, command, json.dumps(data))
+        assert "settle_window must be finite and > 0" in out
+        assert started == []
+
+    @pytest.mark.parametrize("command", COMMANDS[3:], ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "name", ["settle_window", "configure_budget", "heal_budget"]
+    )
+    @pytest.mark.parametrize(
+        "value",
+        [-5.0, 0.0, math.inf, math.nan],
+        ids=["negative", "zero", "infinite", "nan"],
+    )
+    def test_bad_chaos_window_or_budget_rejected_before_any_replicate(
+        self, tmp_path, capsys, monkeypatch, command, name, value
+    ):
+        started = self._record_runs(monkeypatch)
+        data = dict(self.SCENARIO, chaos={name: value})
+        out = self._run(tmp_path, capsys, command, json.dumps(data))
+        assert f"{name} must be finite and > 0" in out
+        assert started == []
+
+    @pytest.mark.parametrize("budget", ["-5", "0", "inf", "nan"])
+    def test_bad_budget_flag_rejected_before_any_replicate(
+        self, tmp_path, capsys, monkeypatch, budget
+    ):
+        started = self._record_runs(monkeypatch)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(self.SCENARIO))
+        code = main(
+            ["chaos", str(path), "--workers", "0", "--budget", budget]
+        )
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out == (
+            f"error: heal_budget must be finite and > 0, "
+            f"got {float(budget)}\n"
+        )
         assert started == []
 
     def test_version_1_store_rejected(self, tmp_path, capsys):

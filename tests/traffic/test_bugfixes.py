@@ -124,13 +124,13 @@ class TestDeliveredUpgrade:
 
 
 class _CountingPlane:
-    """Claims every payload and counts deliveries per payload."""
+    """Takes every ``str`` payload (the frames below are strings) and
+    counts deliveries per payload."""
+
+    frame_type = str
 
     def __init__(self):
         self.delivered = []
-
-    def claims(self, payload):
-        return True
 
     def on_frame(self, payload, dest_id, sender_id):
         self.delivered.append(payload)
