@@ -144,12 +144,6 @@ def _campaign_parent(
         help="process-pool size; 0 runs in-process, default = cpu count",
     )
     parent.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="replicates per pool task (scheduling only; never results)",
-    )
-    parent.add_argument(
         "--base-seed",
         type=int,
         default=None,
@@ -635,6 +629,8 @@ def _run_campaigns(
         if prepare is not None:
             data = prepare(data)
         data, pool_kwargs = _apply_supervise_flags(data, args, workers)
+        # The flags may have changed what the file said: check again.
+        _parse_campaign(data)
         identity = identity_of(data)
         store = None if args.store is None else RunStore(args.store)
     except (ValueError, RunStoreError) as exc:
@@ -656,7 +652,6 @@ def _run_campaigns(
             identity,
             base_seed=base_seed,
             workers=args.workers,
-            chunk_size=args.chunk_size,
             store=store,
             resume=args.resume,
             retries=args.retries,
@@ -1030,17 +1025,17 @@ def _load_scenario(path: str):
 
 
 def _parse_campaign(data):
-    """Check a sweep/chaos/traffic file before any replicate runs.
+    """Check a sweep/chaos/traffic description before any replicate runs.
 
-    Parses everything each replicate would: the scenario blocks
-    (``config``, ``deployment``, ``channel``, ``traffic`` …) and the
-    ``chaos`` block.  Returns ``data`` unchanged.
+    Parses everything each replicate would, through the replicates' own
+    :func:`~repro.perturb.chaos.parse_campaign`: the scenario blocks
+    (``config``, ``deployment``, ``channel``, ``traffic`` …), the
+    execution policy, the ``chaos`` block and the sharding limits.
+    Returns ``data`` unchanged.
     """
-    from .perturb.chaos import ChaosConfig
-    from .scenario import Scenario
+    from .perturb.chaos import parse_campaign
 
-    Scenario.from_dict(data)
-    ChaosConfig.from_dict(data.get("chaos", {}))
+    parse_campaign(data)
     return data
 
 
@@ -1058,11 +1053,15 @@ def cmd_replay(args) -> int:
     if args.shards is not None:
         from dataclasses import replace as _replace
 
-        scenario = _replace(
-            scenario,
-            shards=args.shards,
-            shard_executor=args.shard_executor,
-        )
+        try:
+            scenario = _replace(
+                scenario,
+                shards=args.shards,
+                shard_executor=args.shard_executor,
+            )
+        except ValueError as exc:
+            print(f"error: {exc}")
+            return 2
     seed = args.replay_seed if args.replay_seed is not None else scenario.seed
     state = replay_to(scenario, seed, args.at)
     digest = state_digest(state.snapshot)

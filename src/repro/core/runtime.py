@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..geometry import HexLattice, Vec2
 from ..net import (
@@ -62,6 +62,9 @@ class Gs3Runtime:
         seed: int = 0,
         keep_trace_records: bool = True,
         channel_faults: Optional[ChannelFaultConfig] = None,
+        origin: Optional[Vec2] = None,
+        channel_submit: Optional[Callable[[tuple], None]] = None,
+        max_events: Optional[int] = None,
     ) -> "Gs3Runtime":
         """Construct a runtime around an existing network.
 
@@ -73,8 +76,15 @@ class Gs3Runtime:
         ``channel_faults`` installs an adversarial channel model on the
         radio; combine it with ``config.broadcast_loss == 0`` (Bernoulli
         loss belongs inside the fault model when both are wanted).
+
+        A shard worker also passes ``origin`` (the deployment's big
+        position: its stripe may not hold the big node),
+        ``channel_submit`` (reservations go to the coordinator's
+        mediator, not a :class:`LocalChannel`) and ``max_events``.
         """
         sim = Simulator()
+        if max_events is not None:
+            sim.max_events = max_events
         tracer = Tracer(keep_records=keep_trace_records)
         rng = RngStreams(seed)
         radio = Radio(
@@ -90,9 +100,13 @@ class Gs3Runtime:
                 else None
             ),
         )
-        channel = LocalChannel(sim, config.hop_latency)
+        channel = (
+            LocalChannel(sim, config.hop_latency)
+            if channel_submit is None
+            else ChannelReservations(sim, channel_submit)
+        )
         lattice = HexLattice(
-            origin=network.big_node.position,
+            origin=network.big_node.position if origin is None else origin,
             spacing=config.lattice_spacing,
             orientation=config.gr_orientation,
         )

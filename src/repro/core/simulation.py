@@ -43,7 +43,9 @@ __all__ = [
     "Gs3Simulation",
     "StabilityReport",
     "STRUCTURE_CHANGE_CATEGORIES",
+    "boot_programs",
     "converged_at",
+    "snapshot_with_gaps",
     "stabilize",
 ]
 
@@ -248,6 +250,28 @@ def converged_at(
     return report.converged_at
 
 
+def boot_programs(runtime: Gs3Runtime) -> None:
+    """Boot every node program of ``runtime``, each in its own lane, in
+    id order: the boot of an in-process run and of every shard worker."""
+    sim = runtime.sim
+    previous = sim.current_lane
+    for node_id in sorted(runtime.nodes):
+        sim.set_lane(node_id)
+        runtime.nodes[node_id].start()
+    sim.set_lane(previous)
+
+
+def snapshot_with_gaps(runtime: Gs3Runtime) -> Tuple[StructureSnapshot, set]:
+    """The structure of ``runtime``'s programs and the cells their heads
+    know to be R_t-gap perturbed, minus any cell headed now: what an
+    invariant verdict reads, from one snapshot."""
+    snapshot = take_snapshot(runtime)
+    gaps = set()
+    for node in runtime.nodes.values():
+        gaps |= getattr(node, "gap_axials", set())
+    return snapshot, gaps - set(snapshot.head_by_axial)
+
+
 class Gs3Simulation(PacketOps):
     """One protocol run: network + runtime + node programs.
 
@@ -317,15 +341,9 @@ class Gs3Simulation(PacketOps):
 
     def start(self) -> None:
         """Boot every node program, each in its own lane (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        sim = self.runtime.sim
-        previous = sim.current_lane
-        for node_id in sorted(self.runtime.nodes):
-            sim.set_lane(node_id)
-            self.runtime.nodes[node_id].start()
-        sim.set_lane(previous)
+        if not self._started:
+            self._started = True
+            boot_programs(self.runtime)
 
     def _drive(self, kind: str, desc: tuple) -> Any:
         """Run driver op ``kind`` as the next operation (see the class
@@ -405,13 +423,9 @@ class Gs3Simulation(PacketOps):
         return self.snapshot_and_gaps()[1]
 
     def snapshot_and_gaps(self) -> Tuple[StructureSnapshot, set]:
-        """The structure and its :meth:`gap_axials`, from one snapshot:
-        what an invariant verdict reads."""
-        snapshot = take_snapshot(self.runtime)
-        gaps = set()
-        for node in self.runtime.nodes.values():
-            gaps |= getattr(node, "gap_axials", set())
-        return snapshot, gaps - set(snapshot.head_by_axial)
+        """The structure and its :meth:`gap_axials`, from one snapshot
+        (:func:`snapshot_with_gaps`)."""
+        return snapshot_with_gaps(self.runtime)
 
     @property
     def tracer(self) -> Tracer:

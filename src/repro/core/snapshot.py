@@ -18,7 +18,7 @@ from ..net import NodeId
 from .runtime import Gs3Runtime
 from .state import NodeStatus
 
-__all__ = ["NodeView", "StructureSnapshot", "take_snapshot", "node_view"]
+__all__ = ["NodeView", "StructureSnapshot", "take_snapshot"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -184,13 +184,8 @@ class StructureSnapshot:
         )
 
 
-def node_view(runtime: Gs3Runtime, node_id: NodeId) -> NodeView:
-    """One node's current view — the per-node unit of take_snapshot.
-
-    Exposed so a shard worker answers a snapshot query with the views
-    of the nodes it runs, built exactly as :func:`take_snapshot`
-    builds them.
-    """
+def _node_view(runtime: Gs3Runtime, node_id: NodeId) -> NodeView:
+    """One node's current view — the per-node unit of take_snapshot."""
     node = runtime.nodes[node_id]
     in_network = runtime.network.has_node(node_id)
     alive = in_network and runtime.network.node(node_id).alive
@@ -222,7 +217,7 @@ def node_view(runtime: Gs3Runtime, node_id: NodeId) -> NodeView:
 def take_snapshot(runtime: Gs3Runtime) -> StructureSnapshot:
     """Capture the current structure of a protocol run."""
     views: Dict[NodeId, NodeView] = {
-        node_id: node_view(runtime, node_id) for node_id in runtime.nodes
+        node_id: _node_view(runtime, node_id) for node_id in runtime.nodes
     }
     return StructureSnapshot(
         time=runtime.sim.now,

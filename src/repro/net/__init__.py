@@ -22,7 +22,6 @@ from .faults import (
     GilbertElliottConfig,
     JamWindow,
 )
-from .mobility import MoveListener, PathMobility, RandomWalkMobility
 from .node import NodeId, PhysicalNode
 from .radio import DeliveryError, Radio
 from .topology import Network
@@ -45,9 +44,6 @@ __all__ = [
     "ChannelFaultModel",
     "GilbertElliottConfig",
     "JamWindow",
-    "MoveListener",
-    "PathMobility",
-    "RandomWalkMobility",
     "NodeId",
     "PhysicalNode",
     "DeliveryError",

@@ -43,6 +43,7 @@ __all__ = [
     "ChaosConfig",
     "StabilizationVerdict",
     "build_campaign_simulation",
+    "parse_campaign",
     "run_chaos_campaigns",
     "run_chaos_replicate",
     "summarize_verdicts",
@@ -260,58 +261,32 @@ class StabilizationVerdict:
         return payload
 
 
-def build_campaign_simulation(
-    data: Dict[str, Any], seed: int, deployment, chaos: ChaosConfig
-):
-    """Build the simulation a scenario-shaped campaign dict describes.
+def parse_campaign(data: Dict[str, Any]) -> Tuple[Any, ChaosConfig]:
+    """Parse a scenario-shaped campaign dict: its
+    :class:`~repro.scenario.Scenario` and its ``chaos`` block.
 
-    Shared by the chaos verdict runner and the traffic engine so both
-    construct byte-for-byte identical simulations from the same spec:
-    in-process by default, the sharded facade when ``shards`` is
-    set (which rejects mobility — cross-region moves would be refused
-    mid-campaign).
+    A sharded campaign may not move nodes: a move across a stripe
+    boundary would be refused mid-run, so ``move_rate > 0`` with
+    ``shards`` is refused here, before any replicate runs.
     """
-    # Function-level imports keep this module import-light for the
-    # pool workers and avoid package-init ordering knots.
-    from ..core import Gs3DynamicNode, Gs3DynamicSimulation, Gs3MobileNode
-    from ..core.config import GS3Config
-    from ..net import ChannelFaultConfig
+    # Function-level import: ``repro.scenario`` imports this package.
+    from ..scenario import Scenario
 
-    config = GS3Config(**data.get("config", {}))
-    channel = data.get("channel")
-    shards = data.get("shards")
-    if shards is not None:
-        from ..sim.shard import ShardedSimulation
-
-        if data.get("mobile"):
-            raise ValueError("mobile campaigns are not supported sharded")
-        if chaos.move_rate > 0.0:
-            raise ValueError(
-                "move_rate > 0 is not supported sharded "
-                "(cross-region moves would be rejected mid-campaign)"
-            )
-        return ShardedSimulation(
-            data["deployment"],
-            config,
-            seed=seed,
-            shards=int(shards),
-            executor=str(data.get("shard_executor", "inline")),
-            channel=(
-                ChannelFaultConfig.from_dict(channel) if channel else None
-            ),
-            keep_trace_records=False,
-            supervise=data.get("supervise"),
+    scenario = Scenario.from_dict(data)
+    chaos = ChaosConfig.from_dict(data.get("chaos", {}))
+    if scenario.shards is not None and chaos.move_rate > 0.0:
+        raise ValueError(
+            "move_rate > 0 is not supported sharded "
+            "(cross-region moves would be rejected mid-campaign)"
         )
-    return Gs3DynamicSimulation.from_deployment(
-        deployment,
-        config,
-        seed=seed,
-        node_class=Gs3MobileNode if data.get("mobile") else Gs3DynamicNode,
-        keep_trace_records=False,
-        channel_faults=(
-            ChannelFaultConfig.from_dict(channel) if channel else None
-        ),
-    )
+    return scenario, chaos
+
+
+def build_campaign_simulation(scenario, deployment):
+    """The simulation of one campaign replicate: the scenario's own
+    (:meth:`~repro.scenario.Scenario.build_simulation`), keeping no
+    trace records."""
+    return scenario.build_simulation(deployment, keep_trace_records=False)
 
 
 def run_chaos_replicate(spec: Dict[str, Any]) -> Dict[str, Any]:
@@ -329,10 +304,10 @@ def run_chaos_replicate(spec: Dict[str, Any]) -> Dict[str, Any]:
 
     data = spec["data"]
     seed = int(spec["seed"])
-    chaos = ChaosConfig.from_dict(data.get("chaos", {}))
+    scenario, chaos = parse_campaign(dict(data, seed=seed))
     streams = RngStreams(seed)
-    deployment = deployment_from_spec(data["deployment"], streams)
-    simulation = build_campaign_simulation(data, seed, deployment, chaos)
+    deployment = deployment_from_spec(scenario.deployment_spec, streams)
+    simulation = build_campaign_simulation(scenario, deployment)
     try:
         return _run_chaos_verdict(
             simulation, deployment, streams, chaos, seed,

@@ -54,7 +54,8 @@ from .core import (
 from .geometry import Vec2
 from .net import ChannelFaultConfig, deployment_from_spec
 from .perturb import PerturbationInjector, churn_workload
-from .sim import RngStreams, canonical_digest
+from .sim import RngStreams, ShardSupervision, canonical_digest
+from .sim.shard import SHARD_EXECUTORS, ShardedSimulation
 from .traffic.generators import TrafficConfig
 
 __all__ = [
@@ -148,18 +149,34 @@ class Scenario:
     #: digest-relevant: executors are bit-identical by contract.
     shard_executor: str = "inline"
     #: Supervision knobs for the process shard executor (deadline,
-    #: retries, infra-chaos injection, inline fallback) — see
-    #: :class:`repro.sim.supervise.ShardSupervision`.  Never
+    #: retries, infra-chaos injection, inline fallback).  Never
     #: digest-relevant: a run that completes under supervision (even
     #: through respawns or an inline fallback) is byte-identical to the
     #: unsupervised run by contract.
-    supervise: Optional[Dict[str, Any]] = None
+    supervise: Optional[ShardSupervision] = None
     #: Data-plane workload (see :class:`repro.traffic.TrafficConfig`);
     #: digest-relevant — the traffic block selects which packets fly
     #: and hence what the run reports (data frames draw from dedicated
     #: ``radio.*.data.*`` streams and data lanes, so the *control-plane*
     #: trajectory is unchanged, but the run's observable output is not).
     traffic: Optional[TrafficConfig] = None
+
+    def __post_init__(self) -> None:
+        # The sharding limits hold for every scenario, parsed or
+        # replaced, before anything is built from it.
+        if self.shard_executor not in SHARD_EXECUTORS:
+            raise ValueError(
+                f"unknown shard executor {self.shard_executor!r}; "
+                f"expected one of {sorted(SHARD_EXECUTORS)}"
+            )
+        if self.shards is not None:
+            if self.shards < 1:
+                raise ValueError(f"shards must be >= 1, got {self.shards}")
+            if self.mobile:
+                raise ValueError(
+                    "mobile scenarios are not supported sharded; "
+                    "drop 'shards' or 'mobile'"
+                )
 
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "Scenario":
@@ -206,32 +223,24 @@ class Scenario:
             )
         channel_data = data.get("channel")
         shards = data.get("shards")
-        mobile = bool(data.get("mobile", False))
-        if shards is not None:
-            shards = int(shards)
-            if shards < 1:
-                raise ValueError(f"shards must be >= 1, got {shards}")
-            if mobile:
-                raise ValueError(
-                    "mobile scenarios are not supported sharded; "
-                    "drop 'shards' or 'mobile'"
-                )
         return Scenario(
             seed=int(data.get("seed", 0)),
             config=config,
             deployment_spec=dict(data["deployment"]),
             perturbations=perturbations,
-            mobile=mobile,
+            mobile=bool(data.get("mobile", False)),
             settle_window=settle_window,
             channel=(
                 ChannelFaultConfig.from_dict(channel_data)
                 if channel_data
                 else None
             ),
-            shards=shards,
+            shards=None if shards is None else int(shards),
             shard_executor=str(data.get("shard_executor", "inline")),
             supervise=(
-                dict(data["supervise"]) if data.get("supervise") else None
+                ShardSupervision.from_dict(data["supervise"])
+                if data.get("supervise")
+                else None
             ),
             traffic=(
                 TrafficConfig.from_dict(data["traffic"])
@@ -281,6 +290,31 @@ class Scenario:
     def build_deployment(self):
         return deployment_from_spec(self.deployment_spec, RngStreams(self.seed))
 
+    def build_simulation(self, deployment, keep_trace_records: bool = True):
+        """The run this scenario describes, over ``deployment`` (built
+        from :attr:`deployment_spec` and :attr:`seed`): the sharded
+        coordinator when :attr:`shards` is set, else the in-process
+        driver with the mobile or dynamic program."""
+        if self.shards is not None:
+            return ShardedSimulation(
+                self.deployment_spec,
+                self.config,
+                seed=self.seed,
+                shards=self.shards,
+                executor=self.shard_executor,
+                channel=self.channel,
+                keep_trace_records=keep_trace_records,
+                supervise=self.supervise,
+            )
+        return Gs3DynamicSimulation.from_deployment(
+            deployment,
+            self.config,
+            seed=self.seed,
+            node_class=Gs3MobileNode if self.mobile else Gs3DynamicNode,
+            keep_trace_records=keep_trace_records,
+            channel_faults=self.channel,
+        )
+
 
 def _non_big_head(sim: Gs3DynamicSimulation, kind: str):
     victim = next(
@@ -320,32 +354,7 @@ class ScenarioExecution:
         self.scenario = scenario
         self.horizon = horizon
         self.deployment = scenario.build_deployment()
-        if scenario.shards is not None:
-            if scenario.mobile:
-                raise ValueError(
-                    "mobile scenarios are not supported sharded"
-                )
-            from .sim.shard import ShardedSimulation
-
-            self.simulation = ShardedSimulation(
-                scenario.deployment_spec,
-                scenario.config,
-                seed=scenario.seed,
-                shards=scenario.shards,
-                executor=scenario.shard_executor,
-                channel=scenario.channel,
-                supervise=scenario.supervise,
-            )
-        else:
-            self.simulation = Gs3DynamicSimulation.from_deployment(
-                self.deployment,
-                scenario.config,
-                seed=scenario.seed,
-                node_class=(
-                    Gs3MobileNode if scenario.mobile else Gs3DynamicNode
-                ),
-                channel_faults=scenario.channel,
-            )
+        self.simulation = scenario.build_simulation(self.deployment)
         self.configured_at: Optional[float] = None
         self.log: List[Dict[str, Any]] = []
         self.result: Optional[ScenarioResult] = None

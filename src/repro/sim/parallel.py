@@ -11,11 +11,11 @@ execution path for all of them:
   picklable module-level function ``fn(spec) -> result``;
 * per-replicate rng seeds derive deterministically from a master seed
   via :func:`replicate_seed` (SHA-256, like every other stream in
-  :mod:`repro.sim.rng`) — worker count and chunking never touch the
-  random state a replicate sees;
+  :mod:`repro.sim.rng`) — the worker count never touches the random
+  state a replicate sees;
 * aggregated results come back **ordered by replicate index**, byte
   identical no matter how the sweep was sharded (``workers=0``, 1, or
-  N; any chunk size);
+  N);
 * a crashed replicate is *captured* (traceback + timing in its
   :class:`ReplicateOutcome`), not propagated — one bad seed does not
   kill a 10k-replicate sweep;
@@ -115,9 +115,6 @@ class SweepRunner:
         fn: picklable ``spec -> result`` worker (module-level function).
         workers: ``0`` runs in-process (same code path, no pool);
             ``None`` uses ``os.cpu_count()``; otherwise the pool size.
-        chunk_size: accepted for API compatibility; scheduling is now
-            per-task (the supervisor hands one replicate to a worker at
-            a time), so chunking never affects anything.
         deadline: per-replicate wall-clock watchdog in seconds; a pool
             worker that blows it is killed and the replicate retried.
             ``None`` disables the hang watchdog (death detection is
@@ -133,18 +130,14 @@ class SweepRunner:
         self,
         fn: Callable[[Any], Any],
         workers: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         deadline: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         infra_chaos: Optional[InfraChaosConfig] = None,
     ):
         if workers is not None and workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.fn = fn
         self.workers = workers
-        self.chunk_size = chunk_size
         self.deadline = deadline
         self.retry_policy = retry_policy or RetryPolicy()
         self.infra_chaos = infra_chaos
@@ -260,10 +253,9 @@ def run_sweep(
     fn: Callable[[Any], Any],
     specs: Sequence[Any],
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
 ) -> List[ReplicateOutcome]:
     """One-shot :class:`SweepRunner` convenience wrapper."""
-    return SweepRunner(fn, workers=workers, chunk_size=chunk_size).run(specs)
+    return SweepRunner(fn, workers=workers).run(specs)
 
 
 def campaign_identity(data: Dict[str, Any]) -> Dict[str, Any]:
@@ -289,7 +281,6 @@ def run_campaign(
     identity: Dict[str, Any],
     base_seed: Optional[int] = None,
     workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
     store: Optional[Any] = None,
     resume: bool = False,
     retries: int = 0,
@@ -301,8 +292,8 @@ def run_campaign(
     Replicate ``i`` runs ``fn({"data": data, "seed": s_i})`` with
     ``s_i = replicate_seed(base, i)`` and ``base`` defaulting to the
     description's ``seed`` entry; outcomes come back index-ordered and
-    byte-identical for any ``workers`` / ``chunk_size``
-    (:class:`SweepRunner`'s contract).
+    byte-identical for any ``workers`` (:class:`SweepRunner`'s
+    contract).
 
     With a :class:`~repro.sim.RunStore` in ``store``, every outcome is
     persisted as it lands, in the run keyed by ``kind`` plus
@@ -323,9 +314,7 @@ def run_campaign(
         {"data": data, "seed": replicate_seed(base, i)}
         for i in range(replicates)
     ]
-    runner = SweepRunner(
-        fn, workers=workers, chunk_size=chunk_size, **pool_kwargs
-    )
+    runner = SweepRunner(fn, workers=workers, **pool_kwargs)
     try:
         if store is None:
             return runner.run(specs)

@@ -28,9 +28,7 @@ Determinism contract (pinned by ``tests/sim/test_shard.py``):
   do not depend on which shard hosts the receiver.
 * Every shard constructs its RNG as ``RngStreams(master_seed)`` — the
   per-node streams (``node.<id>``, ``location.<id>``) must be identical
-  no matter which shard owns the node.  ``shard_seed`` derives an
-  auxiliary per-region seed in the ``replicate_seed`` style for
-  shard-local needs outside the protocol trajectory.
+  no matter which shard owns the node.
 * Driver operations (perturbations, packet injections) run at epoch
   barriers, op ``k`` in lane ``DRIVER_BASE + k`` after every event at
   its time, with its same-time follow-ups finishing before op ``k+1``
@@ -67,7 +65,7 @@ from ..core.driver_ops import (
     PerturbationOps,
     default_corruption,
 )
-from .engine import DRIVER_BASE, SimulationError, Simulator
+from .engine import DRIVER_BASE, SimulationError
 from .rng import RngStreams, derive_seed
 from .supervise import (
     FrameCorruption,
@@ -81,28 +79,17 @@ from .supervise import (
     recv_frame,
     send_frame,
 )
-from .tracing import TraceRecord, Tracer
+from .tracing import TraceRecord
 
 __all__ = [
+    "SHARD_EXECUTORS",
     "ShardedSimulation",
     "ShardError",
     "plan_partition",
-    "shard_seed",
 ]
 
 class ShardError(RuntimeError):
     """Raised for operations a sharded run cannot support."""
-
-
-def shard_seed(master_seed: int, region_index: int) -> int:
-    """Auxiliary per-region seed, ``replicate_seed``-style.
-
-    Derived as ``SHA-256(master_seed, "shard:<region>")`` so it is
-    independent of worker scheduling.  *Not* used for protocol RNG
-    streams — those must come from the master seed directly so a node's
-    streams are identical at every shard count (see module docstring).
-    """
-    return derive_seed(master_seed, f"shard:{region_index}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +197,6 @@ class _ShardPort:
         )
 
 
-_NODE_KINDS = ("static", "dynamic")
-
-
 @dataclass
 class ShardSpec:
     """Plain-data recipe for constructing one shard's runtime.
@@ -225,7 +209,6 @@ class ShardSpec:
     deployment_spec: Dict[str, Any]
     seed: int
     channel: Any  # Optional[ChannelFaultConfig]
-    node_kind: str
     keep_trace_records: bool
     max_events: Optional[int]
     owned: Tuple[int, ...]
@@ -238,21 +221,16 @@ class ShardWorker:
     Used directly by the inline executor and inside worker processes by
     the pool executor — the coordinator talks to both through the same
     call surface, which is what makes the two executors bit-identical.
+    The runtime is wired by :meth:`~repro.core.runtime.Gs3Runtime.build`
+    and booted, snapshotted and read by the in-process driver's code.
     """
 
     def __init__(self, spec: ShardSpec):
         from ..core.gs3d import Gs3DynamicNode
-        from ..core.gs3s import Gs3StaticNode
         from ..core.runtime import Gs3Runtime
-        from ..geometry import HexLattice
-        from ..net import ChannelReservations, Radio, deployment_from_spec
+        from ..net import deployment_from_spec
 
-        if spec.node_kind not in _NODE_KINDS:
-            raise ShardError(f"unsupported node kind {spec.node_kind!r}")
-        self.spec = spec
-        self.node_class = (
-            Gs3DynamicNode if spec.node_kind == "dynamic" else Gs3StaticNode
-        )
+        self.node_class = Gs3DynamicNode
         config = spec.config
         deployment = deployment_from_spec(
             spec.deployment_spec, RngStreams(spec.seed)
@@ -265,40 +243,20 @@ class ShardWorker:
             if node_id not in keep:
                 network.remove_node(node_id)
         self.outbox: List[tuple] = []
-        sim = Simulator()
-        if spec.max_events is not None:
-            sim.max_events = spec.max_events
-        tracer = Tracer(keep_records=spec.keep_trace_records)
-        rng = RngStreams(spec.seed)
-        radio = Radio(
+        self.runtime = Gs3Runtime.build(
             network,
-            sim,
-            tracer=tracer,
-            rng=rng,
-            broadcast_loss=config.broadcast_loss,
-            hop_latency=config.hop_latency,
-            faults=(
-                spec.channel.build(rng) if spec.channel is not None else None
-            ),
-        )
-        self.channel = ChannelReservations(sim, self.outbox.append)
-        lattice = HexLattice(
+            config,
+            seed=spec.seed,
+            keep_trace_records=spec.keep_trace_records,
+            channel_faults=spec.channel,
             origin=deployment.big_position,
-            spacing=config.lattice_spacing,
-            orientation=config.gr_orientation,
+            channel_submit=self.outbox.append,
+            max_events=spec.max_events,
         )
-        self.runtime = Gs3Runtime(
-            config=config,
-            sim=sim,
-            network=network,
-            radio=radio,
-            channel=self.channel,
-            tracer=tracer,
-            rng=rng,
-            lattice=lattice,
+        self.runtime.radio.shard_port = _ShardPort(
+            self.runtime.nodes, self.outbox
         )
-        radio.shard_port = _ShardPort(self.runtime.nodes, self.outbox)
-        self.sim = sim
+        self.sim = self.runtime.sim
         self._started = False
         for node_id in sorted(spec.owned):
             self.node_class(self.runtime, node_id)
@@ -307,10 +265,11 @@ class ShardWorker:
 
     def start(self) -> Optional[float]:
         if not self._started:
+            from ..core.simulation import boot_programs
+
             self._started = True
-            for node_id in sorted(self.runtime.nodes):
-                self.sim.set_lane(node_id)
-                self.runtime.nodes[node_id].start()
+            boot_programs(self.runtime)
+            # Nothing schedules from outside an event from here on.
             self.sim.set_lane(None)
         return self.sim.next_event_time()
 
@@ -359,7 +318,7 @@ class ShardWorker:
                 run.append((time, key, dest_id, payload))
             elif kind == "grant":
                 _, time, key, lease_id = item
-                self.channel.grant(time, key, lease_id)
+                self.runtime.channel.grant(time, key, lease_id)
             else:  # pragma: no cover - defensive
                 raise ShardError(f"unknown injection {kind!r}")
         radio.schedule_run(sender, run, False)
@@ -389,29 +348,14 @@ class ShardWorker:
             if faults is None:
                 return (0, 0)
             return (faults.jam_drops, faults.loss_drops)
-        if what == "set_max_events":
-            self.sim.max_events = arg
-            return None
         if what == "traffic":
             plane = self.runtime.radio.data_plane
-            if plane is None:
-                return ({}, (), {})
-            return (
-                dict(plane.terminals),
-                tuple(plane.hop_log.entries()),
-                dict(plane.relay_load),
-            )
+            return ({}, (), {}) if plane is None else plane.traffic_records()
         if what == "snapshot":
-            from ..core.snapshot import node_view
+            from ..core.simulation import snapshot_with_gaps
 
-            views = {
-                node_id: node_view(self.runtime, node_id)
-                for node_id in sorted(self.runtime.nodes)
-            }
-            gaps = set()
-            for node in self.runtime.nodes.values():
-                gaps |= getattr(node, "gap_axials", set())
-            return views, gaps
+            snapshot, gaps = snapshot_with_gaps(self.runtime)
+            return snapshot.views, gaps
         raise ShardError(f"unknown query {what!r}")
 
 
@@ -534,11 +478,6 @@ def _shard_worker_main(conn, spec: ShardSpec, chaos=None) -> None:
         pass
     finally:
         conn.close()
-
-
-#: Replies to journaled commands can be re-derived by replay; replies to
-#: anything else must be re-requested after a respawn.
-_MUTATING_QUERIES = frozenset({"set_max_events"})
 
 
 class _ProcessExecutor:
@@ -828,18 +767,19 @@ class _ProcessExecutor:
         )
 
     def query_all(self, what: str, arg: Any = None) -> List[Any]:
+        # Queries read state, so none is journaled: after a respawn the
+        # reply is re-requested.
         return self._exchange(
             [
                 (shard, ("query", what, arg))
                 for shard in range(len(self._specs))
             ],
-            journal=what in _MUTATING_QUERIES,
+            journal=False,
         )
 
     def query(self, shard: int, what: str, arg: Any = None) -> Any:
         return self._exchange(
-            [(shard, ("query", what, arg))],
-            journal=what in _MUTATING_QUERIES,
+            [(shard, ("query", what, arg))], journal=False
         )[0]
 
     def close(self) -> None:
@@ -892,7 +832,8 @@ def _apply_inline(
     raise ShardError(f"unknown command {cmd!r}")  # pragma: no cover
 
 
-_EXECUTORS = {"inline": _InlineExecutor, "process": _ProcessExecutor}
+#: Shard executor name -> class (``Scenario.shard_executor``).
+SHARD_EXECUTORS = {"inline": _InlineExecutor, "process": _ProcessExecutor}
 
 
 # ---------------------------------------------------------------------------
@@ -938,15 +879,6 @@ class _FacadeClock:
     @property
     def pending_events(self) -> int:
         return self._owner._pending_events()
-
-    @property
-    def max_events(self) -> int:
-        return self._owner._max_events or 0
-
-    @max_events.setter
-    def max_events(self, value: int) -> None:
-        self._owner._max_events = value
-        self._owner._executor.query_all("set_max_events", value)
 
 
 class _MergedTracer:
@@ -1064,7 +996,6 @@ class ShardedSimulation(PerturbationOps, PacketOps):
         shards: int = 1,
         executor: str = "inline",
         channel=None,
-        node_kind: str = "dynamic",
         keep_trace_records: bool = True,
         max_events: Optional[int] = None,
         supervise: Optional[Any] = None,
@@ -1072,10 +1003,10 @@ class ShardedSimulation(PerturbationOps, PacketOps):
         from ..geometry import HexLattice
         from ..net import ChannelMediator, deployment_from_spec
 
-        if executor not in _EXECUTORS:
+        if executor not in SHARD_EXECUTORS:
             raise ShardError(
                 f"unknown shard executor {executor!r}; "
-                f"expected one of {sorted(_EXECUTORS)}"
+                f"expected one of {sorted(SHARD_EXECUTORS)}"
             )
         if supervise is None or isinstance(supervise, dict):
             supervision = ShardSupervision.from_dict(supervise)
@@ -1123,7 +1054,6 @@ class ShardedSimulation(PerturbationOps, PacketOps):
                 deployment_spec=dict(deployment_spec),
                 seed=seed,
                 channel=channel,
-                node_kind=node_kind,
                 keep_trace_records=keep_trace_records,
                 max_events=max_events,
                 owned=tuple(owned[i]),
@@ -1131,11 +1061,10 @@ class ShardedSimulation(PerturbationOps, PacketOps):
             )
             for i in range(shards)
         ]
-        self._executor = _EXECUTORS[executor](specs, supervision)
+        self._executor = SHARD_EXECUTORS[executor](specs, supervision)
         #: Supervision counters/degradations of the process executor
         #: (an inline executor's log stays empty).
         self.supervision_log = self._executor.log
-        self._max_events = max_events
         self._now = 0.0
         self._started = False
         self._closed = False

@@ -22,7 +22,7 @@ now — throwaway: a killed 10k-replicate run restarted from zero.  The
   damage and raises :class:`RunStoreError` loudly.
 
 The determinism contract of :class:`~repro.sim.parallel.SweepRunner`
-(byte-identical payloads for any worker count / chunk size) is what
+(byte-identical payloads for any worker count) is what
 makes resumption sound: a cached outcome and a freshly executed one are
 indistinguishable, so aggregation over a resumed sweep is byte-identical
 to an uninterrupted run.

@@ -353,6 +353,19 @@ class ForwardingPlane:
         if self.stream is not None:
             self.stream.add_terminal(pid, outcome, time)
 
+    def traffic_records(
+        self,
+    ) -> Tuple[Dict[int, Tuple[str, float]], tuple, Dict[NodeId, int]]:
+        """``(terminals, hop entries, relay loads)``: what a report
+        folds, copied out of the in-memory hop log."""
+        if self.hop_log is None:
+            raise ValueError("plane spills to a stream; replay it instead")
+        return (
+            dict(self.terminals),
+            tuple(self.hop_log.entries()),
+            dict(self.relay_load),
+        )
+
     @property
     def records(self) -> Dict[int, Record]:
         """Legacy-shaped ``pid -> (outcome, time, path)`` view.

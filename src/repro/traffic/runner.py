@@ -10,7 +10,7 @@ stream positions (and in-flight retries) behind for the second.
 
 Replicates fan out over seeds through :class:`~repro.sim.SweepRunner`,
 so traffic reports inherit the repo-wide contract: byte-identical
-payloads at every worker count, chunk size, and shard count.
+payloads at every worker count and shard count.
 
 Streaming knobs (volume runs): ``spec["stream_dir"]`` routes every
 terminal/hop record through a crash-tolerant
@@ -34,6 +34,7 @@ from ..perturb.chaos import (
     ChaosCampaign,
     ChaosConfig,
     build_campaign_simulation,
+    parse_campaign,
 )
 from ..sim import RngStreams, campaign_identity, run_campaign
 from ..sim.parallel import ReplicateOutcome
@@ -135,15 +136,7 @@ def collect_traffic(
     simulation, plane
 ) -> Tuple[Dict[int, tuple], tuple, Dict[NodeId, int]]:
     """``(terminals, hop entries, relay loads)``, merged across shards."""
-    if plane is None:
-        return simulation.traffic_records()
-    if plane.hop_log is None:
-        raise ValueError("plane spills to a stream; replay it instead")
-    return (
-        dict(plane.terminals),
-        tuple(plane.hop_log.entries()),
-        dict(plane.relay_load),
-    )
+    return (simulation if plane is None else plane).traffic_records()
 
 
 def run_traffic_replicate(
@@ -167,7 +160,7 @@ def run_traffic_replicate(
     if "traffic" not in data:
         raise ValueError("traffic replicate needs a 'traffic' block")
     traffic = TrafficConfig.from_dict(data["traffic"])
-    chaos = ChaosConfig.from_dict(data.get("chaos", {}))
+    scenario, chaos = parse_campaign(dict(data, seed=seed))
     has_chaos = "chaos" in data
     stream_dir = spec.get("stream_dir")
     stream_batch = int(spec.get("stream_batch", 256))
@@ -183,7 +176,7 @@ def run_traffic_replicate(
             {} if instrumentation is not None else None
         )
         result["routers"][router] = _run_router(
-            data, seed, traffic, chaos, has_chaos, router,
+            scenario, seed, traffic, chaos, has_chaos, router,
             stream_path=stream_path, stream_batch=stream_batch,
             instrumentation=inst,
         )
@@ -201,7 +194,7 @@ def run_traffic_replicate(
 
 
 def _run_router(
-    data: Dict[str, Any],
+    scenario,
     seed: int,
     traffic: TrafficConfig,
     chaos: ChaosConfig,
@@ -214,8 +207,8 @@ def _run_router(
     from ..net import deployment_from_spec
 
     streams = RngStreams(seed)
-    deployment = deployment_from_spec(data["deployment"], streams)
-    simulation = build_campaign_simulation(data, seed, deployment, chaos)
+    deployment = deployment_from_spec(scenario.deployment_spec, streams)
+    simulation = build_campaign_simulation(scenario, deployment)
     stream = None
     try:
         started = _time.perf_counter()

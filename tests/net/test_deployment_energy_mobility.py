@@ -1,4 +1,4 @@
-"""Tests for deployment generators, energy tracking, and mobility."""
+"""Tests for deployment generators and energy tracking."""
 
 import math
 
@@ -9,16 +9,13 @@ from repro.net import (
     Deployment,
     EnergyConfig,
     EnergyTracker,
-    Network,
-    PathMobility,
-    RandomWalkMobility,
     carve_gaps,
     grid_jitter,
     poisson_disk,
     rt_gap_cells,
     uniform_disk,
 )
-from repro.sim import RngStreams, Simulator
+from repro.sim import RngStreams
 
 
 class TestUniformDisk:
@@ -198,83 +195,3 @@ class TestEnergyTracker:
         tracker.add_node(1)
         tracker.remove_node(1)
         assert tracker.remaining(1) == 0.0
-
-
-class TestPathMobility:
-    def test_moves_on_schedule(self):
-        net = Network(cell_size=10.0)
-        node = net.add_node(Vec2(0, 0), 5.0)
-        sim = Simulator()
-        moves = []
-        PathMobility(
-            net,
-            sim,
-            node.node_id,
-            [(5.0, Vec2(10, 0)), (10.0, Vec2(20, 0))],
-            listener=lambda nid, old, new: moves.append((sim.now, new)),
-        ).start()
-        sim.run()
-        assert moves == [(5.0, Vec2(10, 0)), (10.0, Vec2(20, 0))]
-        assert net.node(node.node_id).position == Vec2(20, 0)
-
-    def test_unsorted_waypoints_rejected(self):
-        net = Network(cell_size=10.0)
-        node = net.add_node(Vec2(0, 0), 5.0)
-        mobility = PathMobility(
-            net, Simulator(), node.node_id, [(5.0, Vec2(1, 0)), (5.0, Vec2(2, 0))]
-        )
-        with pytest.raises(ValueError):
-            mobility.start()
-
-    def test_dead_node_does_not_move(self):
-        net = Network(cell_size=10.0)
-        node = net.add_node(Vec2(0, 0), 5.0)
-        net.kill_node(node.node_id)
-        sim = Simulator()
-        PathMobility(net, sim, node.node_id, [(1.0, Vec2(10, 0))]).start()
-        sim.run()
-        assert net.node(node.node_id).position == Vec2(0, 0)
-
-
-class TestRandomWalkMobility:
-    def test_node_moves_repeatedly(self):
-        net = Network(cell_size=10.0)
-        node = net.add_node(Vec2(0, 0), 5.0)
-        sim = Simulator()
-        moves = []
-        RandomWalkMobility(
-            net,
-            sim,
-            node.node_id,
-            interval=1.0,
-            mean_step=2.0,
-            rng_streams=RngStreams(1),
-            listener=lambda nid, old, new: moves.append(new),
-        ).start()
-        sim.run(until=10.0)
-        assert len(moves) == 10
-
-    def test_respects_max_radius(self):
-        net = Network(cell_size=10.0)
-        node = net.add_node(Vec2(0, 0), 5.0)
-        sim = Simulator()
-        RandomWalkMobility(
-            net,
-            sim,
-            node.node_id,
-            interval=1.0,
-            mean_step=50.0,
-            rng_streams=RngStreams(2),
-            max_radius=20.0,
-        ).start()
-        sim.run(until=50.0)
-        assert net.node(node.node_id).position.norm() <= 20.0 + 1e-9
-
-    def test_invalid_interval(self):
-        net = Network(cell_size=10.0)
-        node = net.add_node(Vec2(0, 0), 5.0)
-        walk = RandomWalkMobility(
-            net, Simulator(), node.node_id, 0.0, 1.0, RngStreams(1)
-        )
-        with pytest.raises(ValueError):
-            walk.start()

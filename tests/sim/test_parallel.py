@@ -40,23 +40,17 @@ def _sleepy(spec):
 class TestDeterminism:
     def test_identical_results_across_workers_and_chunking(self):
         """The acceptance property: byte-identical aggregate output for
-        workers in {0, 1, 4} and any chunk size."""
+        workers in {0, 1, 4}."""
         specs = [(replicate_seed(42, i), 20) for i in range(9)]
         payloads = set()
         for workers in (0, 1, 4):
-            for chunk_size in (None, 1, 3, 16):
-                outcomes = run_sweep(
-                    _seeded_draws,
-                    specs,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                )
-                payloads.add(json.dumps(sweep_results(outcomes)))
+            outcomes = run_sweep(_seeded_draws, specs, workers=workers)
+            payloads.add(json.dumps(sweep_results(outcomes)))
         assert len(payloads) == 1
 
     def test_outcomes_ordered_by_index(self):
         specs = [(replicate_seed(1, i), 5) for i in range(7)]
-        outcomes = run_sweep(_seeded_draws, specs, workers=2, chunk_size=2)
+        outcomes = run_sweep(_seeded_draws, specs, workers=2)
         assert [o.index for o in outcomes] == list(range(7))
 
     def test_replicate_seed_stable_and_distinct(self):
@@ -102,10 +96,6 @@ class TestRunnerConfig:
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
             SweepRunner(_seeded_draws, workers=-1)
-
-    def test_zero_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            SweepRunner(_seeded_draws, chunk_size=0)
 
     def test_workers_capped_by_spec_count(self):
         runner = SweepRunner(_seeded_draws, workers=64)

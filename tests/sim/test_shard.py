@@ -26,12 +26,7 @@ from repro.sim.engine import (
     EXTERNAL_LANE,
     SimulationError,
 )
-from repro.sim.shard import (
-    ShardedSimulation,
-    ShardError,
-    plan_partition,
-    shard_seed,
-)
+from repro.sim.shard import ShardedSimulation, ShardError, plan_partition
 
 CONFIG = GS3Config(ideal_radius=100.0, radius_tolerance=25.0)
 DEPLOYMENT = {"kind": "uniform", "field_radius": 170.0, "n_nodes": 80}
@@ -619,11 +614,6 @@ class TestPlanPartition:
         assert near[0] == 0 and 1 in near
         far = part.stripes_near(boundary - 10.0 * part.margin)
         assert far == [0]
-
-    def test_shard_seed_distinct_per_region(self):
-        seeds = {shard_seed(7, k) for k in range(8)}
-        assert len(seeds) == 8
-        assert shard_seed(7, 0) != shard_seed(8, 0)
 
     def test_invalid_shard_count_rejected(self):
         with pytest.raises((ValueError, ShardError)):

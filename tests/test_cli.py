@@ -40,7 +40,6 @@ class TestParser:
         assert args.command == "sweep"
         assert args.replicates == 8
         assert args.workers is None
-        assert args.chunk_size is None
         assert args.base_seed is None
 
     def test_sweep_options(self):
@@ -52,15 +51,12 @@ class TestParser:
                 "4",
                 "--workers",
                 "0",
-                "--chunk-size",
-                "2",
                 "--base-seed",
                 "9",
             ]
         )
         assert args.replicates == 4
         assert args.workers == 0
-        assert args.chunk_size == 2
         assert args.base_seed == 9
 
     def test_chaos_defaults(self):
@@ -839,6 +835,68 @@ class TestMalformedInput:
             f"error: heal_budget must be finite and > 0, "
             f"got {float(budget)}\n"
         )
+        assert started == []
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            ({"shard_executor": "bogus"}, "unknown shard executor 'bogus'"),
+            ({"supervise": {"deadlin": 5}}, "unknown supervise keys"),
+        ],
+        ids=["executor", "supervise"],
+    )
+    def test_bad_execution_policy_rejected_before_running(
+        self, tmp_path, capsys, monkeypatch, command, policy, message
+    ):
+        started = self._record_runs(monkeypatch)
+        data = dict(self.SCENARIO, **policy)
+        out = self._run(tmp_path, capsys, command, json.dumps(data))
+        assert message in out
+        assert started == []
+
+    @pytest.mark.parametrize("command", COMMANDS[3:], ids=lambda c: c[0])
+    def test_sharded_moves_rejected_before_any_replicate(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        started = self._record_runs(monkeypatch)
+        data = dict(self.SCENARIO, shards=2, chaos={"move_rate": 0.01})
+        out = self._run(tmp_path, capsys, command, json.dumps(data))
+        assert "move_rate > 0 is not supported sharded" in out
+        assert started == []
+
+    #: ``--shards`` folded into a file that is fine on its own: the
+    #: commands that take the flag check the result before running
+    #: (``sweep`` always parsed its folded file for its identity).
+    SHARD_FLAG_CASES = [
+        (command, ["--shards", "0"], {}, "shards must be >= 1, got 0")
+        for command in COMMANDS[1:2] + COMMANDS[4:]
+    ] + [
+        (
+            command,
+            ["--shards", "2"],
+            {"move_rate": 0.01},
+            "move_rate > 0 is not supported sharded",
+        )
+        for command in COMMANDS[3:]
+    ]
+
+    @pytest.mark.parametrize(
+        "command, flags, chaos, message",
+        SHARD_FLAG_CASES,
+        ids=[f"{c[0][0]}-{' '.join(c[1])}" for c in SHARD_FLAG_CASES],
+    )
+    def test_bad_shard_flags_rejected_before_running(
+        self, tmp_path, capsys, monkeypatch, command, flags, chaos, message
+    ):
+        started = self._record_runs(monkeypatch)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(dict(self.SCENARIO, chaos=chaos)))
+        code = main([command[0], str(path), *command[1:], *flags])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith(f"error: {message}")
+        assert out.count("\n") == 1
         assert started == []
 
     def test_version_1_store_rejected(self, tmp_path, capsys):
