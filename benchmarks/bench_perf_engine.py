@@ -20,8 +20,10 @@ Tracks the raw-speed trajectory of the simulator core across PRs:
   worker count.  ``cpu_count`` is recorded alongside so single-core
   containers are legible in the history.
 
-* recurring-timer throughput through the calendar-queue wheel
-  (``timer_wheel``), the 100k-heartbeat shape;
+* recurring-timer throughput (``timer_wheel``, the 100k-heartbeat
+  shape): ``PeriodicTimer`` re-arms on the one event heap.  The row
+  keeps the name of the calendar-queue wheel it once timed, so its
+  history stays comparable;
 * ``shard_scaling``: events/sec of the spatially-sharded executor at
   shards ∈ {1, 2, 4} on the 10k and 100k campaign deployments, with a
   cross-count state-digest byte-identity check.  On hosts with fewer
@@ -149,10 +151,11 @@ def bench_timer_wheel(
     """Recurring-timer throughput: the 100k-heartbeat shape.
 
     ``n_timers`` periodic timers (interval 10, staggered phases) fire
-    through the calendar-queue wheel until ``horizon``.  Before the
-    wheel, every firing churned the one global heap alongside all
-    one-shot traffic; this section tracks the recurring path on its
-    own.
+    until ``horizon``, each firing re-arming through
+    ``Simulator.schedule_recurring`` on the one event heap.  Raced on
+    this row, the calendar-queue timer wheel that once held these
+    timers was never faster than the heap (EXPERIMENTS.md
+    § ONE-QUEUE); this section tracks the recurring path on its own.
     """
     sim = Simulator()
     fired = [0]

@@ -12,7 +12,8 @@ Commands:
     Print the analytical Figure 7 and Figure 8 series.
 ``scenario`` / ``sweep``
     Run a declarative JSON scenario once, or as a Monte Carlo sweep of
-    seeded replicates.
+    seeded replicates.  Like ``replay`` and ``bisect``, these run no
+    data plane and refuse a scenario with a ``traffic`` block.
 ``chaos``
     Run seeded chaos campaigns (Poisson churn + channel faults) and
     report per-campaign stabilization verdicts.
@@ -59,11 +60,11 @@ fault-free run.
 
 Exit codes for ``sweep``, ``chaos`` and ``traffic``: 2 on rejected
 input (a replicate count below 1, ``--resume`` / ``--retries``
-without ``--store``, a bad ``--infra-chaos``) or when any replicate
-crashed with a traceback, 1 when all ran but some ended
-unhealthy/unhealed/unconfigured, 0 otherwise; 130 when interrupted by
-SIGINT/SIGTERM.  ``bisect`` exits 0 when an onset was found, 1 when
-the predicate never became true by ``--t-max``.
+without ``--store``, a bad ``--infra-chaos`` or ``--task-deadline``)
+or when any replicate crashed with a traceback, 1 when all ran but
+some ended unhealthy/unhealed/unconfigured, 0 otherwise; 130 when
+interrupted by SIGINT/SIGTERM.  ``bisect`` exits 0 when an onset was
+found, 1 when the predicate never became true by ``--t-max``.
 """
 
 from __future__ import annotations
@@ -567,7 +568,7 @@ def cmd_traffic(args) -> int:
     from .traffic import run_traffic_replicate
 
     def with_routers(data):
-        if "traffic" not in data:
+        if data.get("traffic") is None:
             raise ValueError("workload file has no 'traffic' block")
         if args.router is None:
             return data
@@ -703,11 +704,11 @@ def _scenario_identity(data):
     """A sweep's run identity: the *parsed* scenario.
 
     Formatting or key order in the source JSON never forks it, and
-    ``Scenario.to_dict`` never emits the execution-policy keys.
+    ``Scenario.to_dict`` never emits the execution-policy keys.  The
+    parse refuses a ``traffic`` block (:func:`_parse_scenario`) before
+    any replicate runs.
     """
-    from .scenario import Scenario
-
-    return Scenario.from_dict(data).to_dict()
+    return _parse_scenario(data).to_dict()
 
 
 def _wall(outcome) -> str:
@@ -919,13 +920,16 @@ def _apply_supervise_flags(data, args, pool_workers: int):
     ``supervise`` block (shard supervisor; never digest-relevant),
     otherwise they become :class:`~repro.sim.SweepRunner` keyword
     arguments for the supervised pool of ``pool_workers`` processes.
-    Raises ``ValueError`` for a bad ``--infra-chaos`` spec or when
-    fault injection has no process backend to inject into.
+    Raises ``ValueError`` for a bad ``--infra-chaos`` spec, a
+    ``--task-deadline`` that is not finite and > 0 (whichever backend
+    runs), or when fault injection has no process backend to inject
+    into.
     """
     from .sim import InfraChaosConfig, RetryPolicy
+    from .sim.supervise import check_deadline
 
     chaos_spec = args.infra_chaos
-    deadline = args.task_deadline
+    deadline = check_deadline(args.task_deadline)
     retries = args.infra_retries
     if chaos_spec is None and deadline is None and retries is None:
         return data, {}
@@ -1018,10 +1022,26 @@ def _load_input(path: str, parse):
         raise _BadInput(f"{path}: {exc}") from None
 
 
-def _load_scenario(path: str):
+def _parse_scenario(data):
+    """Parse a scenario for ``scenario``, ``sweep``, ``replay`` or
+    ``bisect``.
+
+    Their runner (:class:`~repro.scenario.ScenarioExecution`) attaches
+    no data plane, so a ``traffic`` block is refused, not ignored.
+    """
     from .scenario import Scenario
 
-    return _load_input(path, Scenario.from_dict)
+    scenario = Scenario.from_dict(data)
+    if scenario.traffic is not None:
+        raise ValueError(
+            "a 'traffic' block needs a data plane: run it with "
+            "'repro traffic' or 'repro chaos'"
+        )
+    return scenario
+
+
+def _load_scenario(path: str):
+    return _load_input(path, _parse_scenario)
 
 
 def _parse_campaign(data):

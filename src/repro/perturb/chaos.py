@@ -311,7 +311,7 @@ def run_chaos_replicate(spec: Dict[str, Any]) -> Dict[str, Any]:
     try:
         return _run_chaos_verdict(
             simulation, deployment, streams, chaos, seed,
-            traffic=data.get("traffic"),
+            traffic=scenario.traffic,
         )
     finally:
         closer = getattr(simulation, "close", None)
@@ -325,7 +325,7 @@ def _run_chaos_verdict(
     streams: RngStreams,
     chaos: ChaosConfig,
     seed: int,
-    traffic: Optional[Dict[str, Any]] = None,
+    traffic=None,
 ) -> Dict[str, Any]:
     """Drive one campaign on an armed simulation; return the verdict dict.
 
@@ -334,11 +334,12 @@ def _run_chaos_verdict(
     ``run_for``, ``runtime.radio.faults``, ``tracer``) is part of the
     shared surface the facade mirrors.
 
-    With a ``traffic`` block, a data-plane workload is generated over
-    the chaos window and forwarded hop-by-hop while the structure is
-    being damaged; its :func:`~repro.traffic.fold_traffic_report`
-    joins the verdict under ``"traffic"`` (single router: the first of
-    the block's ``routers``).
+    With ``traffic`` (the scenario's parsed
+    :class:`~repro.traffic.TrafficConfig`), a data-plane workload is
+    generated over the chaos window and forwarded hop-by-hop while the
+    structure is being damaged; its
+    :func:`~repro.traffic.fold_traffic_report` joins the verdict under
+    ``"traffic"`` (single router: the first of its ``routers``).
     """
     from ..analysis import changed_cells
 
@@ -365,15 +366,14 @@ def _run_chaos_verdict(
     injected = campaign.inject(simulation, deployment.field)
     packets = plane = None
     if traffic is not None:
-        from ..traffic import TrafficConfig, generate_workload
+        from ..traffic import generate_workload
         from ..traffic.runner import attach_plane, schedule_packets
 
-        traffic_config = TrafficConfig.from_dict(traffic)
         packets = generate_workload(
-            traffic_config, simulation.network, seed, simulation.now
+            traffic, simulation.network, seed, simulation.now
         )
         plane = attach_plane(
-            simulation, traffic_config.plane_config(traffic_config.routers[0])
+            simulation, traffic.plane_config(traffic.routers[0])
         )
         schedule_packets(simulation, plane, packets)
     simulation.run_for(chaos.duration)

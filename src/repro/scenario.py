@@ -154,11 +154,14 @@ class Scenario:
     #: through respawns or an inline fallback) is byte-identical to the
     #: unsupervised run by contract.
     supervise: Optional[ShardSupervision] = None
-    #: Data-plane workload (see :class:`repro.traffic.TrafficConfig`);
-    #: digest-relevant — the traffic block selects which packets fly
-    #: and hence what the run reports (data frames draw from dedicated
-    #: ``radio.*.data.*`` streams and data lanes, so the *control-plane*
-    #: trajectory is unchanged, but the run's observable output is not).
+    #: Data-plane workload (see :class:`repro.traffic.TrafficConfig`),
+    #: run by the chaos and traffic replicates only:
+    #: :class:`ScenarioExecution` attaches no data plane, and the
+    #: ``scenario``, ``sweep``, ``replay`` and ``bisect`` commands refuse
+    #: a scenario that carries one.  Digest-relevant — the block selects
+    #: which packets fly and hence what the run reports (data frames draw
+    #: from dedicated ``radio.*.data.*`` streams and data lanes, so the
+    #: *control-plane* trajectory is unchanged, but the output is not).
     traffic: Optional[TrafficConfig] = None
 
     def __post_init__(self) -> None:
@@ -242,9 +245,11 @@ class Scenario:
                 if data.get("supervise")
                 else None
             ),
+            # Present means parsed: ``"traffic": {}`` is the default
+            # workload, as the chaos and traffic replicates run it.
             traffic=(
                 TrafficConfig.from_dict(data["traffic"])
-                if data.get("traffic")
+                if data.get("traffic") is not None
                 else None
             ),
         )

@@ -37,24 +37,19 @@ run at one instant:
   perturbation and packet injectors of a run, and every event of a
   bare simulator (whose events then run in plain FIFO order).
 
-Performance notes: heap entries are plain ``(time, key, event)``
-tuples, so ``heapq`` orders them with C tuple comparison and never
-falls back to rich comparison on the event record itself (keys are
-unique, so the record is never compared).  ``Event`` is a
-``__slots__`` record, and the ``run`` loop binds the heap operations
-locally (see ``benchmarks/results/BENCH_perf.json``).
-
-Recurring timers (one heartbeat per node — 100k of them at target
-scale) do not live on the one-shot heap at all: they go through a
-bucketed *timer wheel* (a calendar queue keyed by ``time //
-bucket_width``).  Each bucket is a small heap, and a secondary heap of
-per-bucket minima merges the wheel with the one-shot heap in the run
-loop.  Re-arming a heartbeat then costs ``O(log bucket)`` on a bucket
-holding only the timers due in one wheel slot, instead of ``O(log n)``
-on a global heap holding every pending timer in the system.  A wheel
-entry claims its key at arm time exactly like a one-shot event, and the
-run loop always executes the smallest ``(time, key)`` across both
-structures, so the wheel never changes a run's event order.
+One queue.  Every pending event is one ``(time, key, event)`` entry
+on one binary heap: a one-shot event, a delivery run (below), and a
+recurring timer's next firing alike.  Entries are plain tuples, so
+``heapq`` orders them with C tuple comparison and never falls back to
+rich comparison on the event record itself (keys are unique, so the
+record is never compared).  ``Event`` is a ``__slots__`` record, and
+the ``run`` loop binds the heap operations locally.  Recurring timers
+(GS3-D's heartbeats, about a third of what a run schedules) re-arm
+through :meth:`Simulator.schedule_recurring`, which is
+:meth:`Simulator.schedule` under a second name so that a profiler can
+count timer arms apart.  They need no queue of their own: a bucketed
+timer wheel raced against this heap was never faster beyond
+run-to-run noise (EXPERIMENTS.md § ONE-QUEUE).
 
 Delivery runs.  A radio send reaches many receivers (~275 per heartbeat
 broadcast on a dense field), and the receivers of one send claim
@@ -63,13 +58,13 @@ consecutive keys from one lane.  Such a send is one queue entry, a
 receivers in ``(time, key)`` order that sits in the heap under its
 smallest remaining ``(time, key)``.  The run loop pops it like any
 event; :meth:`Simulator.resume_run` then delivers receiver after
-receiver while the next one still sorts before the heap head and the
-wheel minimum, and pushes the cursor back under its next receiver
-otherwise — a k-way merge of the sends into the one event order.  The
-counters keep their units: :attr:`Simulator.executed_events` counts
-every receiver, :attr:`Simulator.pending_events` every undelivered one,
-``max_events`` trips on the receiver that crosses it, and
-:meth:`Simulator.step` delivers exactly one receiver (DESIGN.md § 8).
+receiver while the next one still sorts before the heap head, and
+pushes the cursor back under its next receiver otherwise — a k-way
+merge of the sends into the one event order.  The counters keep their
+units: :attr:`Simulator.executed_events` counts every receiver,
+:attr:`Simulator.pending_events` every undelivered one, ``max_events``
+trips on the receiver that crosses it, and :meth:`Simulator.step`
+delivers exactly one receiver (DESIGN.md § 8).
 """
 
 from __future__ import annotations
@@ -167,11 +162,7 @@ class Simulator:
     from FIFO execution of equal-timestamp events within a lane.
     """
 
-    def __init__(
-        self,
-        max_events: int = 50_000_000,
-        timer_bucket_width: Optional[float] = None,
-    ):
+    def __init__(self, max_events: int = 50_000_000):
         self._queue: List[Tuple[float, Tuple[int, int], Event]] = []
         # Scheduling from outside any event claims from EXTERNAL_LANE;
         # drivers switch lanes with ``set_lane`` (node boot) or
@@ -194,17 +185,6 @@ class Simulator:
         # resumes it through ``resume_run``).
         self._event: Optional[Event] = None
         self._running = False
-        # -- timer wheel (recurring events) --------------------------------
-        # Buckets keyed by int(time // width); each bucket is a heap of
-        # (time, key, event) entries.  ``_wheel_minheap`` holds
-        # (time, key, bucket_key) for every entry that has ever been a
-        # bucket minimum (stale entries are dropped lazily), and
-        # ``_wheel_min`` caches the exact current global minimum so the
-        # run loop can merge wheel and heap with two comparisons.
-        self._wheel_width = timer_bucket_width
-        self._wheel_buckets: dict = {}
-        self._wheel_minheap: List[tuple] = []
-        self._wheel_min: Optional[tuple] = None
 
     # -- counters --------------------------------------------------------
 
@@ -336,11 +316,10 @@ class Simulator:
         the lane and counted it — so that item goes to ``body(arg,
         lane, payload)`` at once.  Each later item is delivered in
         turn, with the same bookkeeping, while it still sorts before
-        the heap head and the wheel minimum, lies within ``run``'s
-        ``until`` and within the event budget (one event per
-        :meth:`step`).  Once one does not, the event goes back in the
-        heap under that item, so the run loop resumes the run exactly
-        where the order says.
+        the heap head, lies within ``run``'s ``until`` and within the
+        event budget (one event per :meth:`step`).  Once one does not,
+        the event goes back in the heap under that item, so the run
+        loop resumes the run exactly where the order says.
         """
         event = self._event
         queue = self._queue
@@ -351,13 +330,9 @@ class Simulator:
             body(arg, item[2], item[3])
             while items:
                 item = items[-1]
-                # Heap entries are (time, key, event) and wheel minima
-                # (time, key); keys are unique, so both comparisons
-                # are decided by time and key.
+                # Heap entries are (time, key, event); keys are unique,
+                # so the comparison is decided by time and key.
                 if queue and queue[0] < item:
-                    break
-                wheel_min = self._wheel_min
-                if wheel_min is not None and wheel_min < item:
                     break
                 executed = self._executed
                 if executed >= self._budget:
@@ -425,16 +400,7 @@ class Simulator:
         """Execute the pending events at ``now`` that sort below
         :data:`EXTERNAL_LANE`."""
         bound = (self.now, (EXTERNAL_LANE,))
-        queue = self._queue
-        while True:
-            while queue and queue[0][2].cancelled:
-                heapq.heappop(queue)
-            head = queue[0][:2] if queue else None
-            wheel = self._wheel_peek()
-            if wheel is not None and (head is None or wheel < head):
-                head = wheel
-            if head is None or head >= bound:
-                return
+        while self._peek() is not None and self._queue[0] < bound:
             self.step()
 
     # -- scheduling --------------------------------------------------------
@@ -483,108 +449,10 @@ class Simulator:
         same-time events of the current lane)."""
         return self.schedule(0.0, callback)
 
-    # -- the timer wheel ---------------------------------------------------
-
-    def schedule_recurring(
-        self,
-        delay: float,
-        callback: Callable[[], None],
-        interval_hint: Optional[float] = None,
-    ) -> EventHandle:
-        """Schedule ``callback`` via the timer wheel.
-
-        Semantically identical to :meth:`schedule` (same clock, same
-        lane key, same cancellation handle, counted by
-        :attr:`pending_events`), but the pending entry lives in a
-        calendar-queue bucket instead of the global heap — the arming
-        path for *recurring* timers, where the population is large and
-        long-lived.  ``interval_hint`` sizes the wheel's buckets on
-        first use (the timer's period is the natural choice); it is
-        ignored once the width is fixed.
-        """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past: delay={delay}")
-        if self._wheel_width is None:
-            hint = interval_hint if interval_hint else delay
-            self._wheel_width = hint if hint > 0 else 1.0
-        time = self.now + delay
-        seq = self.claim_key()
-        event = Event(self, time, callback, seq[0])
-        key = int(time // self._wheel_width)
-        bucket = self._wheel_buckets.get(key)
-        entry = (time, seq, event)
-        if bucket is None:
-            self._wheel_buckets[key] = [entry]
-            heapq.heappush(self._wheel_minheap, (time, seq, key))
-        else:
-            heapq.heappush(bucket, entry)
-            if bucket[0] is entry:
-                # New bucket minimum: publish it to the merge heap (the
-                # superseded minimum's entry goes stale and is dropped
-                # lazily).
-                heapq.heappush(self._wheel_minheap, (time, seq, key))
-        wheel_min = self._wheel_min
-        if wheel_min is None or (time, seq) < wheel_min:
-            self._wheel_min = (time, seq)
-        self._live += 1
-        return event
-
-    def _wheel_pop(self) -> Optional[Event]:
-        """Pop the event at the wheel's current minimum key.
-
-        Returns the event (which may be cancelled — the caller skips it
-        exactly like a cancelled heap entry) or ``None`` if the wheel
-        is empty.  Maintains the ``_wheel_min`` cache.
-        """
-        minheap = self._wheel_minheap
-        buckets = self._wheel_buckets
-        popped: Optional[Event] = None
-        while minheap:
-            time, seq, key = minheap[0]
-            bucket = buckets.get(key)
-            if (
-                bucket is None
-                or bucket[0][0] != time
-                or bucket[0][1] != seq
-            ):
-                # Stale: this entry stopped being its bucket's minimum
-                # (a smaller insert superseded it, or the bucket is
-                # gone).  The *current* minimum of every bucket is
-                # always present in the merge heap, so just drop it.
-                heapq.heappop(minheap)
-                continue
-            if popped is None:
-                heapq.heappop(minheap)
-                entry = heapq.heappop(bucket)
-                popped = entry[2]
-                if bucket:
-                    head = bucket[0]
-                    heapq.heappush(minheap, (head[0], head[1], key))
-                else:
-                    del buckets[key]
-                continue  # loop once more to normalise the new top
-            self._wheel_min = (time, seq)
-            return popped
-        self._wheel_min = None
-        return popped
-
-    def _wheel_peek(self) -> Optional[tuple]:
-        """Exact minimum (time, key) of a *live* wheel entry, or None.
-
-        Unlike ``_wheel_min`` (which may reference a cancelled entry,
-        mirroring the heap's lazy deletion), this discards cancelled
-        entries — the :meth:`next_event_time` semantics.
-        """
-        while True:
-            wheel_min = self._wheel_min
-            if wheel_min is None:
-                return None
-            key = int(wheel_min[0] // self._wheel_width)
-            bucket = self._wheel_buckets.get(key)
-            if bucket is not None and bucket[0][2].cancelled:
-                self._wheel_pop()
-                continue
-            return wheel_min
+    #: Arms a recurring timer's next firing (:class:`PeriodicTimer`).
+    #: It schedules on the one heap exactly as :meth:`schedule` does;
+    #: the second name lets a profiler count timer arms apart.
+    schedule_recurring = schedule
 
     # -- execution ---------------------------------------------------------
 
@@ -599,26 +467,9 @@ class Simulator:
         """
         queue = self._queue
         entry_lane = self._lane
-        while True:
-            wheel_min = self._wheel_min
-            if queue:
-                head = queue[0]
-                if wheel_min is not None and (
-                    wheel_min[0] < head[0]
-                    or (wheel_min[0] == head[0] and wheel_min[1] < head[1])
-                ):
-                    time = wheel_min[0]
-                    event = self._wheel_pop()
-                else:
-                    heapq.heappop(queue)
-                    time = head[0]
-                    event = head[2]
-            elif wheel_min is not None:
-                time = wheel_min[0]
-                event = self._wheel_pop()
-            else:
-                return False
-            if event is None or event.cancelled:
+        while queue:
+            time, _, event = heapq.heappop(queue)
+            if event.cancelled:
                 continue
             event.consumed = True
             self._live -= 1
@@ -637,9 +488,10 @@ class Simulator:
                 self._lane = entry_lane
                 self._budget = entry_budget
             return True
+        return False
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the queues drain or virtual time passes ``until``.
+        """Run until the queue drains or virtual time passes ``until``.
 
         The current lane is restored on return: events run in their own
         lanes, and whatever the caller schedules afterwards still claims
@@ -663,47 +515,18 @@ class Simulator:
         queue = self._queue
         pop = heapq.heappop
         max_events = self._budget = self._max_events
-        no_deadline = until is None
-        self._horizon = float("inf") if no_deadline else until
+        horizon = self._horizon = float("inf") if until is None else until
         try:
-            while True:
-                # Pick the globally smallest (time, key) across the
-                # one-shot heap and the timer wheel; with an empty
-                # wheel this costs one attribute load and a None test
-                # per event over the pure-heap loop.
-                wheel_min = self._wheel_min
-                if queue:
-                    head = queue[0]
-                    event = head[2]
-                    if event.cancelled:
-                        pop(queue)
-                        continue
-                    if wheel_min is not None and (
-                        wheel_min[0] < head[0]
-                        or (
-                            wheel_min[0] == head[0]
-                            and wheel_min[1] < head[1]
-                        )
-                    ):
-                        time = wheel_min[0]
-                        from_wheel = True
-                    else:
-                        time = head[0]
-                        from_wheel = False
-                elif wheel_min is not None:
-                    time = wheel_min[0]
-                    from_wheel = True
-                else:
-                    break
-                if not no_deadline and time > until:
-                    self.now = until
-                    break
-                if from_wheel:
-                    event = self._wheel_pop()
-                    if event is None or event.cancelled:
-                        continue
-                else:
+            while queue:
+                head = queue[0]
+                event = head[2]
+                if event.cancelled:
                     pop(queue)
+                    continue
+                time = head[0]
+                if time > horizon:
+                    break
+                pop(queue)
                 event.consumed = True
                 self._live -= 1
                 self.now = time
@@ -716,12 +539,9 @@ class Simulator:
         finally:
             self._running = False
             self._lane = entry_lane
-        if (
-            until is not None
-            and self.now < until
-            and not self._queue
-            and self._wheel_min is None
-        ):
+        if until is not None:
+            # Drained, or the next event lies past ``until``: either
+            # way the clock stops at ``until``.
             self.now = until
         return self.now
 
@@ -740,17 +560,9 @@ class Simulator:
         return None
 
     def next_event_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or ``None``.
-
-        Considers both the one-shot heap and the timer wheel.
-        """
+        """Timestamp of the next pending event, or ``None``."""
         event = self._peek()
-        wheel_key = self._wheel_peek()
-        if event is None:
-            return wheel_key[0] if wheel_key is not None else None
-        if wheel_key is not None and wheel_key[0] < event.time:
-            return wheel_key[0]
-        return event.time
+        return None if event is None else event.time
 
 
 @dataclass
@@ -807,9 +619,7 @@ class PeriodicTimer:
             self._handle.cancel()
         delay = self._next_delay() if initial_delay is None else initial_delay
         self._stopped = False
-        self._handle = self.sim.schedule_recurring(
-            delay, self._fire, interval_hint=self.interval
-        )
+        self._handle = self.sim.schedule_recurring(delay, self._fire)
         return self
 
     def _next_delay(self) -> float:
@@ -855,5 +665,5 @@ class PeriodicTimer:
             self._handle is None or not self._handle.active
         ):
             self._handle = self.sim.schedule_recurring(
-                self._next_delay(), self._fire, interval_hint=self.interval
+                self._next_delay(), self._fire
             )

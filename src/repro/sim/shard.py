@@ -3,7 +3,7 @@
 Partitions the deployment plane into per-worker *regions* aligned to
 hex-cell stripes (contiguous intervals of the fractional axial ``q``
 coordinate of the IL lattice), runs each region on its own
-:class:`~repro.sim.engine.Simulator` (one-shot heap + timer wheel), and
+:class:`~repro.sim.engine.Simulator` (one event queue), and
 synchronises conservatively at epoch barriers whose width is bounded by
 the channel **lookahead** ``L = hop_latency`` — every transmission costs
 at least one hop plus a non-negative fault jitter, so an event executed
@@ -323,7 +323,17 @@ class ShardWorker:
                 raise ShardError(f"unknown injection {kind!r}")
         radio.schedule_run(sender, run, False)
 
-    # -- queries --------------------------------------------------------
+    # -- commands -------------------------------------------------------
+
+    #: The pipe protocol: ``(name, *args)`` runs ``name(*args)``.
+    COMMANDS = frozenset({"start", "advance", "apply_ops", "query"})
+
+    def execute(self, msg: tuple) -> Any:
+        """Run one command tuple, as a worker process reads it from its
+        pipe and as the inline fallback replays it from a journal."""
+        if msg[0] not in self.COMMANDS:
+            raise ShardError(f"unknown command {msg[0]!r}")
+        return getattr(self, msg[0])(*msg[1:])
 
     def query(self, what: str, arg: Any = None) -> Any:
         tracer = self.runtime.tracer
@@ -460,16 +470,7 @@ def _shard_worker_main(conn, spec: ShardSpec, chaos=None) -> None:
                         corrupt = True
                 epoch += 1
             try:
-                if cmd == "start":
-                    reply = worker.start()
-                elif cmd == "advance":
-                    reply = worker.advance(msg[1], msg[2])
-                elif cmd == "apply_ops":
-                    reply = worker.apply_ops(msg[1])
-                elif cmd == "query":
-                    reply = worker.query(msg[1], msg[2])
-                else:
-                    raise ShardError(f"unknown command {cmd!r}")
+                reply = worker.execute(msg)
                 send_frame(conn, ("ok", reply), corrupt=corrupt)
             except BaseException as exc:
                 send_frame(conn, ("err", f"shard {spec.index} {cmd}: {exc!r}"))
@@ -653,7 +654,7 @@ class _ProcessExecutor:
             reply = self._fallback_replies.pop(shard, None)
             if journal or msg is None:
                 return reply
-            return _apply_inline(self._inline, shard, msg)
+            return self._inline._workers[shard].execute(msg)
         policy = self._supervision.policy
         attempts = 0
         needs_respawn = False
@@ -711,13 +712,13 @@ class _ProcessExecutor:
         for other, journal_msgs in enumerate(self._journals):
             reply = None
             for jmsg in journal_msgs:
-                reply = _apply_inline(inline, other, jmsg)
+                reply = inline._workers[other].execute(jmsg)
             self._fallback_replies[other] = reply
         self._inline = inline
         if journal or msg is None:
             return self._fallback_replies.pop(shard)
         self._fallback_replies.pop(shard, None)
-        return _apply_inline(inline, shard, msg)
+        return inline._workers[shard].execute(msg)
 
     def _exchange(
         self, messages: Sequence[Tuple[int, tuple]], journal: bool
@@ -729,10 +730,8 @@ class _ProcessExecutor:
         read, so the shards work on their commands at the same time.
         """
         if self._inline is not None:
-            return [
-                _apply_inline(self._inline, shard, msg)
-                for shard, msg in messages
-            ]
+            workers = self._inline._workers
+            return [workers[shard].execute(msg) for shard, msg in messages]
         for shard, msg in messages:
             if journal:
                 self._journals[shard].append(msg)
@@ -811,25 +810,6 @@ class _ProcessExecutor:
             self._conns = []
             if self._inline is not None:
                 self._inline.close()
-
-
-def _apply_inline(
-    inline: _InlineExecutor, shard: int, msg: Optional[tuple]
-) -> Any:
-    """Execute one pipe-protocol command against an in-process worker."""
-    if msg is None:  # pragma: no cover - handshake needs no replay
-        return None
-    cmd = msg[0]
-    worker = inline._workers[shard]
-    if cmd == "start":
-        return worker.start()
-    if cmd == "advance":
-        return worker.advance(msg[1], msg[2])
-    if cmd == "apply_ops":
-        return worker.apply_ops(msg[1])
-    if cmd == "query":
-        return worker.query(msg[1], msg[2])
-    raise ShardError(f"unknown command {cmd!r}")  # pragma: no cover
 
 
 #: Shard executor name -> class (``Scenario.shard_executor``).

@@ -43,6 +43,7 @@ same frame/fault/backoff primitives.
 
 from __future__ import annotations
 
+import math
 import os
 import pickle
 import signal
@@ -66,6 +67,7 @@ __all__ = [
     "WorkerDeath",
     "WorkerHang",
     "backoff_delays",
+    "check_deadline",
     "drain_degradations",
     "note_degradation",
     "recv_frame",
@@ -350,6 +352,23 @@ class InfraChaosConfig:
         return InfraChaosConfig(**data)
 
 
+def check_deadline(deadline: Optional[float]) -> Optional[float]:
+    """A wall-clock watchdog deadline in seconds, checked: ``None`` (no
+    hang watchdog) or finite and > 0.
+
+    The one check for ``--task-deadline``, a file's
+    ``supervise.deadline`` and :class:`SupervisedPool`: a NaN would
+    switch the watchdog off unseen, and a deadline <= 0 would count
+    every command as hung at once.
+    """
+    if deadline is None:
+        return None
+    deadline = float(deadline)
+    if not 0.0 < deadline < math.inf:
+        raise ValueError(f"deadline must be finite and > 0, got {deadline}")
+    return deadline
+
+
 @dataclass(frozen=True)
 class ShardSupervision:
     """Supervision knobs for the sharded process executor.
@@ -379,11 +398,7 @@ class ShardSupervision:
             )
         chaos = data.get("infra_chaos")
         return ShardSupervision(
-            deadline=(
-                None
-                if data.get("deadline") is None
-                else float(data["deadline"])
-            ),
+            deadline=check_deadline(data.get("deadline")),
             policy=RetryPolicy(retries=int(data.get("retries", 2))),
             infra_chaos=(
                 InfraChaosConfig.from_dict(chaos)
@@ -625,11 +640,9 @@ class SupervisedPool:
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if deadline is not None and deadline <= 0.0:
-            raise ValueError(f"deadline must be > 0, got {deadline}")
         self.fn = fn
         self.workers = workers
-        self.deadline = deadline
+        self.deadline = check_deadline(deadline)
         self.policy = policy or RetryPolicy()
         self.infra_chaos = infra_chaos
         self.log = log if log is not None else SupervisionLog()

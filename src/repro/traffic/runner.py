@@ -157,10 +157,10 @@ def run_traffic_replicate(
     """
     data = spec["data"]
     seed = int(spec["seed"])
-    if "traffic" not in data:
-        raise ValueError("traffic replicate needs a 'traffic' block")
-    traffic = TrafficConfig.from_dict(data["traffic"])
     scenario, chaos = parse_campaign(dict(data, seed=seed))
+    traffic = scenario.traffic
+    if traffic is None:
+        raise ValueError("traffic replicate needs a 'traffic' block")
     has_chaos = "chaos" in data
     stream_dir = spec.get("stream_dir")
     stream_batch = int(spec.get("stream_batch", 256))

@@ -137,7 +137,7 @@ class World:
             )
         elif action == "timer":
             sim.schedule_recurring(
-                0.5, partial(self.tick, ("timer", payload), 1), 0.5
+                0.5, partial(self.tick, ("timer", payload), 1)
             )
 
     def mark(self, label) -> None:
@@ -147,7 +147,7 @@ class World:
         self.mark(label)
         if left:
             self.sim.schedule_recurring(
-                0.5, partial(self.tick, label, left - 1), 0.5
+                0.5, partial(self.tick, label, left - 1)
             )
 
     # -- the driver --------------------------------------------------------
@@ -165,7 +165,7 @@ class World:
         for i, (time, lane) in enumerate(self.case["timers"]):
             sim.set_lane(lane)
             sim.schedule_recurring(
-                time, partial(self.tick, ("wheel", i), 2), 0.5
+                time, partial(self.tick, ("wheel", i), 2)
             )
         for i in self.case["cancelled"]:
             if i < len(self.handles):

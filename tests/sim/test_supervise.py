@@ -9,6 +9,7 @@ traceback crash of the campaign.
 """
 
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -23,6 +24,7 @@ from repro.sim import (
     InfraChaosConfig,
     RetryPolicy,
     RngStreams,
+    ShardSupervision,
     SupervisedPool,
     SupervisionLog,
     SweepRunner,
@@ -32,6 +34,7 @@ from repro.sim import (
     sweep_results,
 )
 from repro.sim.supervise import (
+    check_deadline,
     corrupt_bytes,
     drain_degradations,
     frame_bytes,
@@ -168,6 +171,27 @@ class TestInfraChaosConfig:
         assert InfraChaosConfig.from_dict(chaos.to_dict()) == chaos
         with pytest.raises(ValueError, match="unknown infra-chaos keys"):
             InfraChaosConfig.from_dict({"nuke_at": 3})
+
+
+class TestDeadline:
+    """One check for every watchdog deadline: ``None`` or finite > 0."""
+
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_refused_by_every_consumer(self, value):
+        message = "deadline must be finite and > 0"
+        with pytest.raises(ValueError, match=message):
+            check_deadline(value)
+        with pytest.raises(ValueError, match=message):
+            ShardSupervision.from_dict({"deadline": value})
+        with pytest.raises(ValueError, match=message):
+            SupervisedPool(_noting, workers=1, deadline=value)
+
+    def test_none_and_positive_accepted(self):
+        assert check_deadline(None) is None
+        assert check_deadline(2) == 2.0
+        assert ShardSupervision.from_dict({"deadline": 1.5}).deadline == 1.5
+        assert ShardSupervision.from_dict({"retries": 1}).deadline is None
+        assert SupervisedPool(_noting, workers=1, deadline=3).deadline == 3.0
 
 
 class TestDegradationChannel:

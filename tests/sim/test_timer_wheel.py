@@ -1,13 +1,17 @@
-"""Timer wheel properties: the calendar queue vs the one-shot heap.
+"""Recurring timers: ``schedule_recurring`` vs ``schedule``.
 
-The scale refactor moved recurring timers off the global event heap
-onto a bucketed timer wheel (``Simulator.schedule_recurring``).  The
-contract is that the wheel is *semantically invisible*: events keep
-their ``(time, seq)`` keys from the shared counter, the run loop
-executes the globally smallest key across both structures, handles
-cancel the same way, and ``pending_events`` stays exact.  These tests
-pin that equivalence, plus the ``PeriodicTimer.start()`` re-arm leak
-fix that rode along.
+``PeriodicTimer`` arms each firing through
+``Simulator.schedule_recurring``, which puts it on the one event heap
+exactly as ``Simulator.schedule`` does.  The contract is that the
+recurring path is *semantically invisible*: events keep their
+``(time, seq)`` keys from the shared counter, the run loop executes
+the smallest key, handles cancel the same way, and ``pending_events``
+stays exact.  These tests pin that equivalence, the
+``PeriodicTimer.start()`` re-arm leak fix, and the ``max_events``
+ceiling.  The recurring path once had its own bucketed timer wheel;
+the "wheel" and "bucket" in test names refer to it, and the cases
+still run the shapes that stressed it (deadlines inside a bucket,
+firings on a bucket boundary).
 """
 
 import random
@@ -23,7 +27,7 @@ DELAYS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.0, 2.0, 3.75, 7.0])
 
 @st.composite
 def mixed_case(draw):
-    """A mix of one-shot and wheel events with pre-cancellations."""
+    """A mix of one-shot and recurring events with pre-cancellations."""
     n = draw(st.integers(min_value=1, max_value=40))
     events = draw(
         st.lists(
@@ -31,8 +35,7 @@ def mixed_case(draw):
         )
     )
     pre_cancels = draw(st.sets(st.integers(0, n - 1), max_size=n))
-    width = draw(st.sampled_from([0.5, 1.0, 3.0, 10.0]))
-    return events, pre_cancels, width
+    return events, pre_cancels
 
 
 class TestWheelHeapEquivalence:
@@ -41,8 +44,8 @@ class TestWheelHeapEquivalence:
     def test_execution_order_matches_single_heap(self, case):
         """Interleaved schedule/schedule_recurring executes in the
         exact (time, seq) order a single heap would produce."""
-        events, pre_cancels, width = case
-        sim = Simulator(timer_bucket_width=width)
+        events, pre_cancels = case
+        sim = Simulator()
         executed = []
         handles = []
         for i, (recurring, delay) in enumerate(events):
@@ -69,17 +72,17 @@ class TestWheelHeapEquivalence:
     @given(mixed_case())
     @settings(max_examples=100, deadline=None)
     def test_run_until_deadline_equivalent(self, case):
-        """run(until=...) stops at the same point for both layouts."""
-        events, pre_cancels, width = case
+        """run(until=...) stops at the same point for both paths."""
+        events, pre_cancels = case
         deadline = 2.0
 
-        def build(use_wheel):
-            sim = Simulator(timer_bucket_width=width)
+        def build(use_recurring):
+            sim = Simulator()
             executed = []
             handles = []
             for i, (recurring, delay) in enumerate(events):
                 cb = lambda i=i, e=executed: e.append(i)
-                if recurring and use_wheel:
+                if recurring and use_recurring:
                     handles.append(sim.schedule_recurring(delay, cb))
                 else:
                     handles.append(sim.schedule(delay, cb))
@@ -87,23 +90,23 @@ class TestWheelHeapEquivalence:
                 handles[i].cancel()
             return sim, executed
 
-        wheel_sim, wheel_exec = build(True)
+        recurring_sim, recurring_exec = build(True)
         heap_sim, heap_exec = build(False)
-        assert wheel_sim.run(until=deadline) == heap_sim.run(until=deadline)
-        assert wheel_exec == heap_exec
-        assert wheel_sim.pending_events == heap_sim.pending_events
-        assert wheel_sim.next_event_time() == heap_sim.next_event_time()
+        assert recurring_sim.run(until=deadline) == heap_sim.run(until=deadline)
+        assert recurring_exec == heap_exec
+        assert recurring_sim.pending_events == heap_sim.pending_events
+        assert recurring_sim.next_event_time() == heap_sim.next_event_time()
         # Drain the rest; the tails agree too.
-        wheel_sim.run()
+        recurring_sim.run()
         heap_sim.run()
-        assert wheel_exec == heap_exec
+        assert recurring_exec == heap_exec
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
     def test_pending_counter_tracks_brute_force(self, data):
         """schedule/schedule_recurring/cancel/step keep the O(1)
         counter equal to the brute-force live count."""
-        sim = Simulator(timer_bucket_width=1.0)
+        sim = Simulator()
         handles = []
         live = 0
         for _ in range(data.draw(st.integers(1, 40))):
@@ -130,7 +133,7 @@ class TestWheelHeapEquivalence:
             assert sim.pending_events == sum(1 for h in handles if h.active)
 
     def test_mid_run_cancellation_of_wheel_event(self):
-        sim = Simulator(timer_bucket_width=1.0)
+        sim = Simulator()
         executed = []
         victim = sim.schedule_recurring(2.0, lambda: executed.append("victim"))
         sim.schedule(1.0, victim.cancel)
@@ -145,20 +148,20 @@ class TestWheelHeapEquivalence:
             sim.schedule_recurring(-0.5, lambda: None)
 
     def test_next_event_time_sees_wheel(self):
-        sim = Simulator(timer_bucket_width=1.0)
+        sim = Simulator()
         sim.schedule(5.0, lambda: None)
         sim.schedule_recurring(2.0, lambda: None)
         assert sim.next_event_time() == 2.0
 
     def test_next_event_time_skips_cancelled_wheel_entry(self):
-        sim = Simulator(timer_bucket_width=1.0)
+        sim = Simulator()
         handle = sim.schedule_recurring(2.0, lambda: None)
         sim.schedule_recurring(4.0, lambda: None)
         handle.cancel()
         assert sim.next_event_time() == 4.0
 
     def test_wheel_only_run_advances_clock_to_until(self):
-        sim = Simulator(timer_bucket_width=1.0)
+        sim = Simulator()
         timer = PeriodicTimer(sim, 1.0, lambda: None)
         timer.start()
         assert sim.run(until=10.5) == 10.5
@@ -170,7 +173,7 @@ class TestManyTimers:
     def test_large_population_fires_in_order(self):
         """A few thousand staggered recurring timers fire in exact
         global time order, interleaved with one-shot traffic."""
-        sim = Simulator(timer_bucket_width=5.0)
+        sim = Simulator()
         fired = []
         rng = random.Random(7)
         timers = []
@@ -240,16 +243,13 @@ class TestPeriodicTimerRearm:
 
 class TestWheelEdgeCases:
     def test_recurring_exactly_on_bucket_boundary(self):
-        """Firings landing exactly on ``k * bucket_width`` stay exact.
-
-        ``int(time // width)`` puts a boundary instant in the *later*
-        bucket; the contract is that bucket assignment never shifts the
-        firing time or its order against one-shots at the same time.
-        """
-        sim = Simulator(timer_bucket_width=10.0)
+        """Firings landing exactly on multiples of the period stay
+        exact and keep their key order against one-shots at the same
+        time."""
+        sim = Simulator()
         order = []
         timer = PeriodicTimer(sim, 10.0, lambda: order.append(("timer", sim.now)))
-        timer.start(initial_delay=10.0)  # fires at exact multiples of width
+        timer.start(initial_delay=10.0)  # fires at exact multiples of 10
         for t in (10.0, 20.0, 30.0):
             sim.schedule(t, lambda t=t: order.append(("oneshot", t)))
         sim.run(until=35.0)
@@ -268,15 +268,15 @@ class TestWheelEdgeCases:
         assert sim.now == 35.0
 
     def test_interval_hint_retune_mid_run_is_ignored(self):
-        """The wheel's width is fixed by the first recurring arm; a
-        different ``interval_hint`` later must not re-bucket anything —
-        execution order stays the single-heap order."""
+        """A timer armed mid-run with a much shorter period than the
+        first one fires on its own period, and the merged stream stays
+        in time order."""
         sim = Simulator()
         fires = []
         slow = PeriodicTimer(sim, 16.0, lambda: fires.append(("slow", sim.now)))
-        slow.start(initial_delay=16.0)  # fixes width at 16
+        slow.start(initial_delay=16.0)
         sim.run(until=20.0)
-        # Mid-run retune: a much finer timer with its own hint.
+        # Mid-run: a much finer timer.
         fast = PeriodicTimer(sim, 3.0, lambda: fires.append(("fast", sim.now)))
         fast.start(initial_delay=1.0)
         sim.run(until=40.0)
@@ -300,12 +300,12 @@ class TestWheelEdgeCases:
         assert times == sorted(times)
 
     def test_run_for_ends_inside_bucket(self):
-        """``run_for`` stopping strictly inside a bucket executes only
-        the entries at or before the deadline; the rest of the bucket
-        drains on the next run."""
-        sim = Simulator(timer_bucket_width=10.0)
+        """``run_for`` stopping between recurring firings executes only
+        the entries at or before the deadline; the rest drain on the
+        next run."""
+        sim = Simulator()
         fired = []
-        # All four land in bucket [10, 20); the deadline cuts it at 14.
+        # The deadline at 14 cuts the four firings in two.
         for delay in (11.0, 13.0, 17.0, 19.0):
             sim.schedule_recurring(delay, lambda d=delay: fired.append(d))
         sim.run_for(14.0)
@@ -317,13 +317,13 @@ class TestWheelEdgeCases:
         assert sim.pending_events == 0
 
     def test_periodic_chain_survives_mid_bucket_deadline(self):
-        """A periodic timer whose next firing sits past a mid-bucket
-        deadline keeps its chain across run() calls."""
-        sim = Simulator(timer_bucket_width=8.0)
+        """A periodic timer whose next firing sits past a deadline
+        keeps its chain across run() calls."""
+        sim = Simulator()
         fires = []
         timer = PeriodicTimer(sim, 4.0, lambda: fires.append(sim.now))
         timer.start()
-        sim.run(until=10.0)  # inside bucket [8, 16)
+        sim.run(until=10.0)  # between the firings at 8 and 12
         assert fires == [4.0, 8.0]
         sim.run(until=21.0)
         timer.stop()

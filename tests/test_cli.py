@@ -681,6 +681,18 @@ class TestMalformedInput:
         ["traffic", "--workers", "0"],
     ]
 
+    #: The commands whose runner has no data plane: they refuse a
+    #: ``traffic`` block.
+    PLANELESS = ("scenario", "replay", "bisect", "sweep")
+
+    def _runnable(self, command, **extra):
+        """``SCENARIO`` plus ``extra``, without the ``traffic`` block
+        when ``command`` refuses one."""
+        data = dict(self.SCENARIO, **extra)
+        if command[0] in self.PLANELESS:
+            del data["traffic"]
+        return data
+
     def _run(self, tmp_path, capsys, command, text):
         path = tmp_path / "input.json"
         path.write_text(text)
@@ -891,7 +903,7 @@ class TestMalformedInput:
     ):
         started = self._record_runs(monkeypatch)
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(dict(self.SCENARIO, chaos=chaos)))
+        path.write_text(json.dumps(self._runnable(command, chaos=chaos)))
         code = main([command[0], str(path), *command[1:], *flags])
         out = capsys.readouterr().out
         assert code == 2
@@ -899,9 +911,70 @@ class TestMalformedInput:
         assert out.count("\n") == 1
         assert started == []
 
+    @pytest.mark.parametrize("command", COMMANDS[:4], ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "block",
+        [SCENARIO["traffic"], {}],
+        ids=["workload", "default-workload"],
+    )
+    def test_traffic_block_refused_before_running(
+        self, tmp_path, capsys, monkeypatch, command, block
+    ):
+        started = self._record_runs(monkeypatch)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(dict(self.SCENARIO, traffic=block)))
+        code = main([command[0], str(path), *command[1:]])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith("error: ")
+        assert "a 'traffic' block needs a data plane" in out
+        assert out.count("\n") == 1
+        assert started == []
+
+    @pytest.mark.parametrize("command", COMMANDS[3:], ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            [],
+            ["--workers", "2"],
+            ["--shards", "2", "--shard-executor", "process"],
+        ],
+        ids=["in-process", "pool", "process-shards"],
+    )
+    @pytest.mark.parametrize("deadline", ["-1", "0", "nan"])
+    def test_bad_task_deadline_rejected_before_running(
+        self, tmp_path, capsys, monkeypatch, command, backend, deadline
+    ):
+        started = self._record_runs(monkeypatch)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(self._runnable(command)))
+        code = main(
+            [command[0], str(path), *command[1:], *backend,
+             "--task-deadline", deadline]
+        )
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out == (
+            f"error: deadline must be finite and > 0, got {float(deadline)}\n"
+        )
+        assert started == []
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "deadline", [-1, 0, math.nan], ids=["negative", "zero", "nan"]
+    )
+    def test_bad_supervise_deadline_rejected_before_running(
+        self, tmp_path, capsys, monkeypatch, command, deadline
+    ):
+        started = self._record_runs(monkeypatch)
+        data = dict(self.SCENARIO, supervise={"deadline": deadline})
+        out = self._run(tmp_path, capsys, command, json.dumps(data))
+        assert "deadline must be finite and > 0" in out
+        assert started == []
+
     def test_version_1_store_rejected(self, tmp_path, capsys):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(self.SCENARIO))
+        path.write_text(json.dumps(self._runnable(["sweep"])))
         store = tmp_path / "runs"
         store.mkdir()
         (store / "manifest.json").write_text(

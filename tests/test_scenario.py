@@ -50,6 +50,18 @@ class TestParsing:
         assert scenario.channel.bernoulli_loss == 0.05
         assert Scenario.from_dict(base_scenario()).channel is None
 
+    def test_traffic_block_parsed_whenever_present(self):
+        """``"traffic": {}`` is the default workload, the one the chaos
+        and traffic replicates run; only an absent or null block is no
+        workload."""
+        from repro.traffic import TrafficConfig
+
+        assert Scenario.from_dict(base_scenario(traffic={})).traffic == (
+            TrafficConfig()
+        )
+        assert Scenario.from_dict(base_scenario(traffic=None)).traffic is None
+        assert Scenario.from_dict(base_scenario()).traffic is None
+
     def test_channel_block_typo_rejected_at_parse_time(self):
         with pytest.raises(ValueError, match="unknown channel fault keys"):
             Scenario.from_dict(base_scenario(channel={"bernouli_loss": 0.1}))
