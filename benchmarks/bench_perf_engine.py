@@ -52,7 +52,6 @@ regresses more than 2x against ``results/BENCH_scale_baseline.json``
 import json
 import math
 import os
-import platform
 import random
 import sys
 import time
@@ -79,7 +78,7 @@ from repro.sim import (
     sweep_results,
 )
 
-from conftest import RESULTS_DIR, save_result
+from conftest import RESULTS_DIR, bench_provenance, save_result
 
 #: Static benchmark network size (per the perf acceptance criterion).
 N_NODES = 2000
@@ -90,26 +89,6 @@ MAX_RANGE = 120.0
 SWEEP_REPLICATES = 16
 SWEEP_FIELD_RADIUS = 110.0
 SWEEP_WORKER_COUNTS = (0, 1, 4)
-
-
-def bench_provenance() -> dict:
-    """The host/toolchain block stamped into every report section.
-
-    Throughput numbers are only interpretable against the host that
-    produced them — ``cpu_count`` decides whether the scaling sections
-    measured anything real, and interpreter/library versions move the
-    absolute numbers between PRs.
-    """
-    import numpy
-
-    from repro import __version__
-
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "python": platform.python_version(),
-        "numpy": numpy.__version__,
-        "package_version": __version__,
-    }
 
 
 def build_static_network(

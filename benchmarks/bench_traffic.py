@@ -11,7 +11,9 @@ Drives the :mod:`repro.traffic` engine two ways:
 * ``churn`` — per-kill-rate, per-router delivery ratio, delay
   percentiles (p50/p99 medians across replicates), and relay hotspot
   load over a 340-node field: the delay-vs-churn curve;
-* ``meta`` — parameters so both curves are reproducible.
+* ``meta`` — parameters so both curves are reproducible;
+* ``provenance`` — cpu_count, python, numpy and package version, so
+  the throughput numbers are read against the host that produced them.
 
 Also runnable standalone::
 
@@ -37,7 +39,7 @@ from repro.traffic import (
     summarize_traffic,
 )
 
-from conftest import save_result
+from conftest import bench_provenance, save_result
 
 BASE_SEED = 37
 REPLICATES = 3
@@ -194,6 +196,7 @@ def run_all(smoke: bool = False) -> dict:
             "deployment": point_data(0.0, smoke=smoke)["deployment"],
             "traffic": point_data(0.0, smoke=smoke)["traffic"],
         },
+        "provenance": bench_provenance(),
         "throughput": measure_throughput(smoke=smoke),
         "churn": {},
     }

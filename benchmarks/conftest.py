@@ -1,6 +1,8 @@
 """Shared benchmark fixtures and result output helpers."""
 
+import os
 import pathlib
+import platform
 
 import pytest
 
@@ -25,3 +27,23 @@ def save_result(name: str, text: str) -> None:
     atomic_write_text(RESULTS_DIR / name, text)
     print(f"\n===== {name} =====")
     print(text)
+
+
+def bench_provenance() -> dict:
+    """The host/toolchain block stamped into a bench report.
+
+    Throughput numbers are only interpretable against the host that
+    produced them — ``cpu_count`` decides whether the scaling sections
+    measured anything real, and interpreter/library versions move the
+    absolute numbers between PRs.
+    """
+    import numpy
+
+    from repro import __version__
+
+    return {
+        "cpu_count": os.cpu_count() or 1,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "package_version": __version__,
+    }

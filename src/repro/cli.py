@@ -512,7 +512,8 @@ def cmd_scenario(args) -> int:
     from .scenario import run_scenario
 
     result = run_scenario(_load_scenario(args.path))
-    rows = [["configured at", result.configured_at]]
+    configured = result.configured_at
+    rows = [["configured at", "never" if configured is None else configured]]
     for entry in result.perturbation_log:
         rows.append(
             [
@@ -521,6 +522,8 @@ def cmd_scenario(args) -> int:
                 f"{entry['cells_changed']} cells changed",
             ]
         )
+    if result.unstable is not None:
+        rows.append(["unstable", result.unstable])
     rows.append(["final cells", result.final_cells])
     rows.append(["invariant violations", len(result.final_violations)])
     print(ascii_table(["step", "outcome"], rows, title="Scenario run"))
@@ -705,8 +708,8 @@ def _scenario_identity(data):
 
     Formatting or key order in the source JSON never forks it, and
     ``Scenario.to_dict`` never emits the execution-policy keys.  The
-    parse refuses a ``traffic`` block (:func:`_parse_scenario`) before
-    any replicate runs.
+    parse refuses a ``chaos`` or ``traffic`` block
+    (:func:`_parse_scenario`) before any replicate runs.
     """
     return _parse_scenario(data).to_dict()
 
@@ -728,12 +731,13 @@ def _sweep_report(outcomes, base_seed, workers):
     for outcome in outcomes:
         if outcome.ok:
             result = outcome.result
+            configured = result["configured_at"]
             rows.append(
                 [
                     outcome.index,
                     result["seed"],
-                    "ok" if not result["final_violations"] else "violations",
-                    f"{result['configured_at']:.0f}",
+                    _sweep_status(result),
+                    "-" if configured is None else f"{configured:.0f}",
                     len(result["perturbation_log"]),
                     result["final_cells"],
                     _wall(outcome),
@@ -760,12 +764,20 @@ def _sweep_report(outcomes, base_seed, workers):
         )
     )
     healthy = sum(
-        1 for o in outcomes if o.ok and not o.result["final_violations"]
+        1 for o in outcomes if o.ok and _sweep_status(o.result) == "ok"
     )
     crashed = sum(1 for o in outcomes if not o.ok)
     print(f"\n{healthy}/{len(outcomes)} healthy, {crashed} crashed")
     payload = {"base_seed": base_seed, "replicates": _results(outcomes)}
     return payload, healthy == len(outcomes)
+
+
+def _sweep_status(result) -> str:
+    """A healthy replicate is ``ok``; one whose configure or heal ran
+    out its budget is ``unstable``; else ``violations``."""
+    if "unstable" in result:
+        return "unstable"
+    return "violations" if result["final_violations"] else "ok"
 
 
 def _chaos_report(outcomes, base_seed, workers):
@@ -1026,11 +1038,17 @@ def _parse_scenario(data):
     """Parse a scenario for ``scenario``, ``sweep``, ``replay`` or
     ``bisect``.
 
-    Their runner (:class:`~repro.scenario.ScenarioExecution`) attaches
-    no data plane, so a ``traffic`` block is refused, not ignored.
+    Their runner (:class:`~repro.scenario.ScenarioExecution`) runs no
+    chaos campaign and attaches no data plane, so a ``chaos`` or
+    ``traffic`` block is refused, not ignored.
     """
     from .scenario import Scenario
 
+    if "chaos" in data:
+        raise ValueError(
+            "a 'chaos' block is a chaos campaign: run it with "
+            "'repro chaos' or 'repro traffic'"
+        )
     scenario = Scenario.from_dict(data)
     if scenario.traffic is not None:
         raise ValueError(

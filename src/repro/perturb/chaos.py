@@ -272,7 +272,9 @@ def parse_campaign(data: Dict[str, Any]) -> Tuple[Any, ChaosConfig]:
     # Function-level import: ``repro.scenario`` imports this package.
     from ..scenario import Scenario
 
-    scenario = Scenario.from_dict(data)
+    scenario = Scenario.from_dict(
+        {key: value for key, value in data.items() if key != "chaos"}
+    )
     chaos = ChaosConfig.from_dict(data.get("chaos", {}))
     if scenario.shards is not None and chaos.move_rate > 0.0:
         raise ValueError(

@@ -8,7 +8,9 @@ may no longer exist.  :class:`~repro.routing.hierarchy.HierarchicalRouter`
 walks the same decisions offline against a quiescent runtime.
 
 Two deciders share one interface, ``decide(node_id, dst, dst_pos,
-visited) -> (action, next_hop)``:
+visited) -> (action, next_hop)``; ``visited`` is any container of the
+node ids already on this routing attempt (the plane passes its frame's
+tuple), and deciders only test membership:
 
 * :class:`CellRouter` — the paper's cell-by-cell geographic routing:
   associate → head, then greedy over neighbouring heads' ILs (ties
@@ -32,12 +34,12 @@ out-of-range nodes depends on the shard count.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple, Type
+from typing import Container, Dict, Optional, Tuple, Type
 
 from ..core.runtime import Gs3Runtime
 from ..core.state import NodeStatus
 from ..geometry import Vec2
-from ..net import NodeId
+from ..net import NodeId, PhysicalNode
 
 __all__ = ["CellRouter", "HybridRouter", "DATA_ROUTERS"]
 
@@ -57,24 +59,23 @@ class _DeciderBase:
 
     def __init__(self, runtime: Gs3Runtime):
         self.runtime = runtime
+        self._network = runtime.network
 
     # -- local-knowledge predicates ----------------------------------
 
-    def _usable(self, node_id: NodeId, target: NodeId) -> bool:
-        """Is ``target`` (a table entry of ``node_id``) a live next hop?
+    def _usable(self, me: PhysicalNode, target: NodeId) -> bool:
+        """Is ``target`` (a table entry of ``me``) a live next hop?
 
         ``target`` came out of a protocol table, so it was within radio
-        reach when learned; static nodes stay mirrored wherever
-        ``node_id`` is simulated, making liveness/reachability checks
-        shard-invariant.
+        reach when learned; static nodes stay mirrored wherever ``me``
+        is simulated, making liveness/reachability checks
+        shard-invariant.  One node lookup: ``me`` is the deciding
+        node, already looked up.
         """
-        network = self.runtime.network
-        if not network.has_node(target) or target == node_id:
+        dest = self._network.get(target)
+        if dest is None or target == me.node_id or not dest.alive:
             return False
-        dest = network.node(target)
-        if not dest.alive:
-            return False
-        return network.node(node_id).can_reach(dest.position)
+        return me.can_reach(dest.position)
 
     def _state(self, node_id: NodeId):
         node = self.runtime.nodes.get(node_id)
@@ -89,7 +90,7 @@ class _DeciderBase:
         node_id: NodeId,
         dst: NodeId,
         dst_pos: Vec2,
-        visited: Set[NodeId],
+        visited: Container[NodeId],
     ) -> Tuple[str, Optional[NodeId]]:
         raise NotImplementedError
 
@@ -104,7 +105,7 @@ class CellRouter(_DeciderBase):
         node_id: NodeId,
         dst: NodeId,
         dst_pos: Vec2,
-        visited: Set[NodeId],
+        visited: Container[NodeId],
     ) -> Tuple[str, Optional[NodeId]]:
         # Direct final hop: the destination's advertised position lies
         # within this node's radio reach, so hand the frame over rather
@@ -114,8 +115,8 @@ class CellRouter(_DeciderBase):
         # and BOOTUP stragglers have no head at all).  The geometric
         # test comes first: only nodes within max_range are guaranteed
         # mirrored locally at every shard count.
-        me = self.runtime.network.node(node_id)
-        if dst != node_id and me.can_reach(dst_pos) and self._usable(node_id, dst):
+        me = self._network.node(node_id)
+        if dst != node_id and me.can_reach(dst_pos) and self._usable(me, dst):
             return (FORWARD, dst)
 
         state = self._state(node_id)
@@ -124,14 +125,14 @@ class CellRouter(_DeciderBase):
         status = state.status
         if status is NodeStatus.ASSOCIATE:
             head = state.head_id
-            if head is not None and self._usable(node_id, head):
+            if head is not None and self._usable(me, head):
                 return (FORWARD, head)
             return (WAIT, None)  # orphaned mid-heal; hold and retry
         if not status.is_head_like:
             return (WAIT, None)  # BOOTUP / re-deciding
 
         # Final hop: the destination is one of this head's associates.
-        if dst in state.associate_positions and self._usable(node_id, dst):
+        if dst in state.associate_positions and self._usable(me, dst):
             return (FORWARD, dst)
 
         own_il = state.current_il
@@ -141,7 +142,7 @@ class CellRouter(_DeciderBase):
         best: Optional[Tuple[float, NodeId]] = None
         for info in state.neighbor_heads.values():
             neighbor_id = info.node_id
-            if neighbor_id in visited or not self._usable(node_id, neighbor_id):
+            if neighbor_id in visited or not self._usable(me, neighbor_id):
                 continue
             distance = info.il.distance_to(dst_pos)
             # Deterministic tie-break on equidistant ILs: (distance, id).
@@ -156,7 +157,7 @@ class CellRouter(_DeciderBase):
             parent is not None
             and parent != node_id
             and parent not in visited
-            and self._usable(node_id, parent)
+            and self._usable(me, parent)
         ):
             return (FORWARD, parent)
 
@@ -186,15 +187,14 @@ class HybridRouter(_DeciderBase):
         node_id: NodeId,
         dst: NodeId,
         dst_pos: Vec2,
-        visited: Set[NodeId],
+        visited: Container[NodeId],
     ) -> Tuple[str, Optional[NodeId]]:
-        network = self.runtime.network
-        me = network.node(node_id)
+        me = self._network.node(node_id)
 
         # Mesh final hop: destination within direct radio reach.  The
         # geometric test comes first — only nodes within max_range are
         # guaranteed mirrored locally at every shard count.
-        if dst != node_id and me.can_reach(dst_pos) and self._usable(node_id, dst):
+        if dst != node_id and me.can_reach(dst_pos) and self._usable(me, dst):
             return (FORWARD, dst)
 
         state = self._state(node_id)
@@ -203,20 +203,20 @@ class HybridRouter(_DeciderBase):
         status = state.status
         if status is NodeStatus.ASSOCIATE:
             head = state.head_id
-            if head is not None and self._usable(node_id, head):
+            if head is not None and self._usable(me, head):
                 return (FORWARD, head)
             return (WAIT, None)
         if not status.is_head_like:
             return (WAIT, None)
 
-        if dst in state.associate_positions and self._usable(node_id, dst):
+        if dst in state.associate_positions and self._usable(me, dst):
             return (FORWARD, dst)
 
         own_distance = me.position.distance_to(dst_pos)
         best: Optional[Tuple[float, NodeId]] = None
         for info in state.neighbor_heads.values():
             neighbor_id = info.node_id
-            if neighbor_id in visited or not self._usable(node_id, neighbor_id):
+            if neighbor_id in visited or not self._usable(me, neighbor_id):
                 continue
             distance = info.position.distance_to(dst_pos)
             if best is None or (distance, neighbor_id) < best:
@@ -231,7 +231,7 @@ class HybridRouter(_DeciderBase):
             parent is not None
             and parent != node_id
             and parent not in visited
-            and self._usable(node_id, parent)
+            and self._usable(me, parent)
         ):
             return (FORWARD, parent)
         if best is not None:

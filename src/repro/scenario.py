@@ -72,6 +72,11 @@ __all__ = [
 class HorizonReached(Exception):
     """A :class:`ScenarioExecution` hit its virtual-time horizon."""
 
+
+class _Unsettled(Exception):
+    """A configure or heal ran out its budget; the message names it."""
+
+
 #: Perturbation kinds ``_apply_perturbation`` understands; validated at
 #: parse time so a typo fails before the expensive configuration phase.
 KNOWN_PERTURBATION_KINDS = frozenset(
@@ -85,6 +90,26 @@ KNOWN_PERTURBATION_KINDS = frozenset(
         "move_node",
         "jam_region",
         "churn",
+    }
+)
+
+#: Every top-level key :meth:`Scenario.from_dict` reads; any other key
+#: is refused, so a misspelt block never runs as a different scenario.
+#: (A campaign's ``chaos`` block is read by
+#: :func:`repro.perturb.chaos.parse_campaign`, never by a scenario.)
+_SCENARIO_KEYS = frozenset(
+    {
+        "seed",
+        "config",
+        "deployment",
+        "perturbations",
+        "mobile",
+        "settle_window",
+        "channel",
+        "shards",
+        "shard_executor",
+        "supervise",
+        "traffic",
     }
 )
 
@@ -105,27 +130,36 @@ _REQUIRED_FIELDS = {
 class ScenarioResult:
     """Outcome of one scenario run."""
 
-    #: Virtual time when initial configuration stabilised.
-    configured_at: float
-    #: One entry per perturbation: kind, healing time, cells changed.
+    #: Virtual time when initial configuration stabilised (``None``
+    #: when it never did).
+    configured_at: Optional[float]
+    #: One entry per perturbation healed: kind, healing time, cells
+    #: changed.
     perturbation_log: List[Dict[str, Any]]
     #: Invariant violations at the end (should be empty).
     final_violations: List[str]
     #: Final cell count.
     final_cells: int
+    #: The step that did not stabilise within its budget, naming the
+    #: budget; the run stopped there (``None`` when every step settled).
+    unstable: Optional[str] = None
 
     def ok(self) -> bool:
         """Whether the scenario ended in a healthy state."""
-        return not self.final_violations
+        return not self.final_violations and self.unstable is None
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible representation (for sweep aggregation)."""
-        return {
+        """JSON-compatible representation (for sweep aggregation);
+        ``unstable`` appears only when set."""
+        out: Dict[str, Any] = {
             "configured_at": self.configured_at,
             "perturbation_log": [dict(e) for e in self.perturbation_log],
             "final_violations": list(self.final_violations),
             "final_cells": self.final_cells,
         }
+        if self.unstable is not None:
+            out["unstable"] = self.unstable
+        return out
 
 
 @dataclass(frozen=True)
@@ -184,6 +218,12 @@ class Scenario:
     @staticmethod
     def from_dict(data: Dict[str, Any]) -> "Scenario":
         """Parse a scenario from plain data (e.g. loaded JSON)."""
+        unknown = set(data) - _SCENARIO_KEYS
+        if unknown:
+            raise ValueError(
+                f"unknown scenario keys {sorted(unknown)}; "
+                f"known keys: {sorted(_SCENARIO_KEYS)}"
+            )
         config = GS3Config(**data.get("config", {}))
         perturbations = list(data.get("perturbations", []))
         for p in perturbations:
@@ -384,19 +424,21 @@ class ScenarioExecution:
             raise HorizonReached(self.horizon)
         engine.run(until=target)
 
-    def _stabilize(self, window: float, max_time: float) -> float:
-        """Horizon-aware :meth:`Gs3Simulation.run_until_stable`."""
+    def _stabilize(self, window: float, budget: float, step: str) -> float:
+        """Horizon-aware :meth:`Gs3Simulation.run_until_stable`, allowing
+        ``budget`` ticks from now; raises :class:`_Unsettled` naming
+        ``step`` and the budget when they run out."""
         report = self.simulation.stabilize(
             window=window,
-            max_time=max_time,
+            max_time=self.simulation.now + budget,
             check_invariants=False,
             horizon=self.horizon,
         )
         if report.horizon_reached:
             raise HorizonReached(self.horizon)
         if not report.stable:
-            raise TimeoutError(
-                f"structure did not stabilise within {max_time} ticks"
+            raise _Unsettled(
+                f"{step} did not stabilise within {budget} ticks"
             )
         assert report.converged_at is not None
         return report.converged_at
@@ -466,15 +508,18 @@ class ScenarioExecution:
     def execute(self) -> Optional[ScenarioResult]:
         """Run to completion or to the horizon.
 
-        Returns the :class:`ScenarioResult` when the scenario finished;
-        ``None`` when the horizon cut execution short (the state is
-        then inspectable via :attr:`simulation`).
+        Returns the :class:`ScenarioResult` when the scenario finished,
+        or stopped at a configure or heal that did not stabilise within
+        its budget (named by :attr:`ScenarioResult.unstable`); ``None``
+        when the horizon cut execution short (the state is then
+        inspectable via :attr:`simulation`).
         """
         sim = self.simulation
         scenario = self.scenario
+        unstable = None
         try:
             self.configured_at = self._stabilize(
-                window=scenario.settle_window, max_time=50_000.0
+                scenario.settle_window, 50_000.0, "initial configuration"
             )
             ordered = sorted(
                 scenario.perturbations, key=lambda p: float(p["at"])
@@ -487,8 +532,9 @@ class ScenarioExecution:
                 start = sim.now
                 what = self._apply_perturbation(spec)
                 healed_at = self._stabilize(
-                    window=scenario.settle_window,
-                    max_time=sim.now + 60_000.0,
+                    scenario.settle_window,
+                    60_000.0,
+                    f"the heal after {spec['kind']} at t={at}",
                 )
                 after = sim.snapshot()
                 self.log.append(
@@ -502,7 +548,9 @@ class ScenarioExecution:
         except HorizonReached:
             self.horizon_reached = True
             return None
-        self.result = self._final_result()
+        except _Unsettled as exc:
+            unstable = str(exc)
+        self.result = self._final_result(unstable)
         return self.result
 
     def close(self) -> None:
@@ -515,7 +563,7 @@ class ScenarioExecution:
         if closer is not None:
             closer()
 
-    def _final_result(self) -> ScenarioResult:
+    def _final_result(self, unstable: Optional[str]) -> ScenarioResult:
         sim = self.simulation
         scenario = self.scenario
         final, gaps = sim.snapshot_and_gaps()
@@ -535,12 +583,12 @@ class ScenarioExecution:
                 default=0.0,
             ),
         )
-        assert self.configured_at is not None
         return ScenarioResult(
             configured_at=self.configured_at,
             perturbation_log=self.log,
             final_violations=violations,
             final_cells=len(final.heads),
+            unstable=unstable,
         )
 
 

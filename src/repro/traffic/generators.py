@@ -264,16 +264,9 @@ def generate_workload(
 
     entries.sort(key=lambda e: e[:3])
     packets: List[Packet] = []
+    add = packets.append
+    node = network.node
     for pid, (t, _, _, kind, src, dst) in enumerate(entries):
-        pos = network.node(dst).position
-        packets.append(
-            Packet(
-                pid=pid,
-                kind=kind,
-                created_at=t,
-                src=src,
-                dst=dst,
-                dst_pos=(pos.x, pos.y),
-            )
-        )
+        pos = node(dst).position
+        add(Packet(pid, kind, t, src, dst, (pos.x, pos.y)))
     return packets

@@ -1,12 +1,15 @@
 """Data-plane packet records.
 
-Packets are plain frozen dataclasses so they pickle across the sharded
-executor's IPC boundary and hash/compare deterministically.  A
-:class:`Packet` is the immutable description of one application-layer
-datagram (created once by a workload generator); a :class:`DataFrame`
-is the in-flight envelope that hops link by link, rebuilt with
-:func:`dataclasses.replace` at every hop so no mutable state is shared
-between shards.
+A :class:`Packet` describes one application-layer datagram (created
+once by a workload generator); a :class:`DataFrame` is the envelope
+that hops link by link.  Both are slotted dataclasses, built
+positionally on the hot path and never mutated after construction: the
+plane builds a fresh frame for every transmission, so a frame held by a
+scheduled delivery is never changed underneath it, and both pickle
+across the sharded executor's IPC boundary.  Neither is frozen (a
+frozen dataclass sets each field through ``object.__setattr__`` and
+costs about four times as much to build), so neither is hashable;
+nothing keys a dict or a set by one.
 
 The frame no longer drags its full node trace along: the path lives in
 the plane's append-only :class:`~repro.traffic.stream.HopLog` (indexed
@@ -37,7 +40,7 @@ TERMINAL_OUTCOMES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Packet:
     """One application datagram, timestamped at creation.
 
@@ -54,16 +57,16 @@ class Packet:
     dst_pos: Tuple[float, float]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DataFrame:
     """The hop-by-hop envelope around a :class:`Packet`.
 
-    ``visited`` is the loop-avoidance set for the *current* routing
-    attempt — it resets on retry so a healed structure can be re-tried
-    along previously rejected links.  ``hop`` is the index of the
-    frame's most recent entry in the plane's hop log (0 = the source at
-    injection); the full trace is reconstructed from the log, never
-    carried on the frame.
+    ``visited`` holds the nodes of the *current* routing attempt, for
+    loop avoidance — it resets on retry so a healed structure can be
+    re-tried along previously rejected links; routers only test
+    membership.  ``hop`` is the index of the frame's most recent entry
+    in the plane's hop log (0 = the source at injection); the full
+    trace is reconstructed from the log, never carried on the frame.
     """
 
     packet: Packet

@@ -13,10 +13,16 @@ with a cleared loop-avoidance set.
 
 Hot-path layout (built for ~10⁵ packets per replicate):
 
+* A hop builds one frame: :meth:`on_frame` and :meth:`_forward` pass
+  the envelope's fields as arguments, and only the transmission builds
+  a :class:`~repro.traffic.packets.DataFrame`, slotted and positional
+  (no frame is copied field by field).  Routers get the frame's
+  ``visited`` tuple itself and only test membership.
 * Paths live in an append-only struct-of-arrays
-  :class:`~repro.traffic.stream.HopLog` — five flat appends per
-  arrival, positions captured at write time — instead of a growing
-  tuple rebuilt on every frame.
+  :class:`~repro.traffic.stream.HopLog`: each arrival is one node
+  lookup (its position, captured at write time) and five column
+  appends bound once at construction, instead of a growing tuple
+  rebuilt on every frame.
 * Held packets live in an array-backed :class:`InFlightTable`
   (pid / holder / ttl / retries / hop / next-fire as parallel arrays
   with slot recycling).  The retry timer is one *shared bound method*
@@ -39,12 +45,11 @@ merged record map is byte-identical at every worker and shard count.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import replace
-from typing import Any, Deque, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..core.runtime import Gs3Runtime
 from ..geometry import Vec2
-from ..net import NodeId
+from ..net import NodeId, PhysicalNode
 from ..sim.engine import DATA_LANE_BASE
 from ..routing.hybrid import DATA_ROUTERS, FORWARD
 from .packets import DataFrame, Packet
@@ -152,8 +157,17 @@ class ForwardingPlane:
         self.terminals: Dict[int, Tuple[str, float]] = {}
         #: Optional JSONL spill; when set, hops bypass memory entirely.
         self.stream = stream
-        #: In-memory hop log (``None`` when spilling to a stream).
-        self.hop_log: Optional[HopLog] = HopLog() if stream is None else None
+        #: In-memory hop log (``None`` when spilling to a stream) and
+        #: its five column appends, bound once.
+        self.hop_log: Optional[HopLog] = None
+        self._log_columns: Optional[Tuple[Callable[[Any], None], ...]] = None
+        if stream is None:
+            log = self.hop_log = HopLog()
+            self._log_columns = (
+                log.pid.append, log.hop.append, log.node.append,
+                log.x.append, log.y.append,
+            )
+        self._network = runtime.network
         #: Data transmissions attempted per node (hotspot histogram).
         self.relay_load: Dict[NodeId, int] = {}
         #: Held packets awaiting their retry backoff.
@@ -173,17 +187,17 @@ class ForwardingPlane:
             self._record(packet.pid, "delivered", self.runtime.sim.now)
             return
         self._forward(
-            dest_id,
-            replace(frame, visited=frame.visited + (dest_id,), hop=hop),
+            dest_id, packet, frame.ttl, frame.visited + (dest_id,),
+            frame.retries, hop,
         )
 
     # -- driver entry points ------------------------------------------
 
     def inject(self, packet: Packet) -> None:
         """Originate ``packet`` at its source, now."""
-        frame = self._admit(packet)
-        if frame is not None:
-            self._forward(packet.src, frame)
+        if self._admit(packet):
+            src = packet.src
+            self._forward(src, packet, self.ttl, (src,), 0, 0)
 
     def inject_batch(self, packets: List[Packet]) -> None:
         """Originate a batch of same-source packets in one event.
@@ -196,100 +210,107 @@ class ForwardingPlane:
         keys are claimed in exact packet order, so the trajectory is
         identical to injecting the packets one event at a time.
         """
-        router = self.router
-        plan: List[Tuple[NodeId, DataFrame, str, Optional[NodeId]]] = []
+        decide = self.router.decide
+        ttl = self.ttl
+        plan: List[Tuple[Packet, str, Optional[NodeId]]] = []
         for packet in packets:
-            frame = self._admit(packet)
-            if frame is None:
-                continue
-            action, target = router.decide(
-                packet.src, packet.dst, Vec2(*packet.dst_pos),
-                set(frame.visited),
-            )
-            plan.append((packet.src, frame, action, target))
+            if self._admit(packet):
+                src = packet.src
+                action, target = decide(
+                    src, packet.dst, Vec2(*packet.dst_pos), (src,)
+                )
+                plan.append((packet, action, target))
         radio = self.runtime.radio
         now = self.runtime.sim.now
         relay = self.relay_load
         i, n = 0, len(plan)
         while i < n:
-            node_id, frame, action, target = plan[i]
-            if frame.ttl <= 0:
-                self._record(frame.packet.pid, "ttl_expired", now)
+            packet, action, target = plan[i]
+            node_id = packet.src
+            if ttl <= 0:
+                self._record(packet.pid, "ttl_expired", now)
                 i += 1
                 continue
             if action != FORWARD or target is None:
-                self._retry(node_id, frame)
+                self._retry(node_id, packet, ttl, 0, 0)
                 i += 1
                 continue
             j = i
             items: List[Tuple[NodeId, DataFrame]] = []
             while (
                 j < n
-                and plan[j][0] == node_id
-                and plan[j][2] == FORWARD
-                and plan[j][3] is not None
-                and plan[j][1].ttl > 0
+                and plan[j][0].src == node_id
+                and plan[j][1] == FORWARD
+                and plan[j][2] is not None
             ):
-                items.append(
-                    (plan[j][3], replace(plan[j][1], ttl=plan[j][1].ttl - 1))
-                )
+                frame = DataFrame(plan[j][0], ttl - 1, (node_id,), 0, 0)
+                items.append((plan[j][2], frame))
                 j += 1
             outcomes = radio.send_data_batch(node_id, items)
             for k, outcome in enumerate(outcomes):
-                held = plan[i + k][1]
+                packet = plan[i + k][0]
                 if outcome == "sent" or outcome == "dropped":
                     relay[node_id] = relay.get(node_id, 0) + 1
                     if outcome == "dropped":
-                        self._record(held.packet.pid, "dropped", now)
+                        self._record(packet.pid, "dropped", now)
                 else:
-                    self._retry(node_id, held)
+                    self._retry(node_id, packet, ttl, 0, 0)
             i = j
 
-    def _admit(self, packet: Packet) -> Optional[DataFrame]:
-        """Log hop 0 and resolve trivial outcomes; a frame to route,
-        or ``None`` when the packet terminated at the source."""
-        now = self.runtime.sim.now
-        src = packet.src
-        self._log_hop(packet.pid, 0, src)
-        phys = self.runtime.network.get(src)
+    def _admit(self, packet: Packet) -> bool:
+        """Log hop 0 and resolve trivial outcomes: whether the packet
+        still needs routing (``False`` once it terminated at the
+        source)."""
+        phys = self._log_hop(packet.pid, 0, packet.src)
         if phys is None or not phys.alive:
-            self._record(packet.pid, "source_dead", now)
-            return None
+            self._record(packet.pid, "source_dead", self.runtime.sim.now)
+            return False
         if packet.src == packet.dst:
-            self._record(packet.pid, "delivered", now)
-            return None
-        return DataFrame(packet=packet, ttl=self.ttl, visited=(src,))
+            self._record(packet.pid, "delivered", self.runtime.sim.now)
+            return False
+        return True
 
     # -- forwarding core ----------------------------------------------
 
-    def _forward(self, node_id: NodeId, frame: DataFrame) -> None:
-        packet = frame.packet
-        now = self.runtime.sim.now
-        if frame.ttl <= 0:
-            self._record(packet.pid, "ttl_expired", now)
+    def _forward(
+        self,
+        node_id: NodeId,
+        packet: Packet,
+        ttl: int,
+        visited: Tuple[NodeId, ...],
+        retries: int,
+        hop: int,
+    ) -> None:
+        """Route the packet ``node_id`` holds: the fields of its frame
+        come as arguments, and only a transmission builds one."""
+        if ttl <= 0:
+            self._record(packet.pid, "ttl_expired", self.runtime.sim.now)
             return
         action, target = self.router.decide(
-            node_id, packet.dst, Vec2(*packet.dst_pos), set(frame.visited)
+            node_id, packet.dst, Vec2(*packet.dst_pos), visited
         )
         if action == FORWARD and target is not None:
             outcome = self.runtime.radio.send_data(
-                node_id, target, replace(frame, ttl=frame.ttl - 1)
+                node_id, target,
+                DataFrame(packet, ttl - 1, visited, retries, hop),
             )
             if outcome == "sent" or outcome == "dropped":
                 # The transmission happened either way — it counts
                 # toward this node's relay load.
                 self.relay_load[node_id] = self.relay_load.get(node_id, 0) + 1
                 if outcome == "dropped":
-                    self._record(packet.pid, "dropped", now)
+                    self._record(packet.pid, "dropped", self.runtime.sim.now)
                 return
             # unreachable / sender_dead: the table entry went stale
             # between decide() and send — hold and re-route.
-        self._retry(node_id, frame)
+        self._retry(node_id, packet, ttl, retries, hop)
 
-    def _retry(self, node_id: NodeId, frame: DataFrame) -> None:
+    def _retry(
+        self, node_id: NodeId, packet: Packet, ttl: int, retries: int, hop: int
+    ) -> None:
         sim = self.runtime.sim
-        if frame.retries >= self.max_retries:
-            self._record(frame.packet.pid, "no_route", sim.now)
+        if retries >= self.max_retries:
+            self._record(packet.pid, "no_route", sim.now)
             return
         # The held packet parks in the in-flight table (loop-avoidance
         # resets on resume so healed links become valid again), and the
@@ -297,10 +318,7 @@ class ForwardingPlane:
         # holder's FIFO.  Constant backoff + monotone per-lane keys
         # make FIFO order identical to fire order.
         fire_at = sim.now + self.retry_delay
-        row = self.table.add(
-            frame.packet, node_id, frame.ttl, frame.retries + 1,
-            frame.hop, fire_at,
-        )
+        row = self.table.add(packet, node_id, ttl, retries + 1, hop, fire_at)
         fifo = self._held.get(node_id)
         if fifo is None:
             fifo = self._held[node_id] = deque()
@@ -313,31 +331,37 @@ class ForwardingPlane:
         packet, holder, ttl, retries, hop = self.table.pop(
             self._held[holder].popleft()
         )
-        phys = self.runtime.network.get(holder)
+        phys = self._network.get(holder)
         if phys is None or not phys.alive:
             self._record(packet.pid, "node_died", self.runtime.sim.now)
             return
-        self._forward(
-            holder,
-            DataFrame(
-                packet=packet, ttl=ttl, visited=(holder,),
-                retries=retries, hop=hop,
-            ),
-        )
+        self._forward(holder, packet, ttl, (holder,), retries, hop)
 
     # -- accounting ----------------------------------------------------
 
-    def _log_hop(self, pid: int, hop: int, node: NodeId) -> None:
-        phys = self.runtime.network.get(node)
+    def _log_hop(
+        self, pid: int, hop: int, node: NodeId
+    ) -> Optional[PhysicalNode]:
+        """Log one arrival at ``node``'s current position; returns the
+        node (``None`` when absent, logged at the origin)."""
+        phys = self._network.get(node)
         if phys is not None:
             position = phys.position
-            x, y = position.x, position.y
+            x = position.x
+            y = position.y
         else:
             x = y = 0.0
-        if self.hop_log is not None:
-            self.hop_log.append(pid, hop, node, x, y)
-        else:
+        columns = self._log_columns
+        if columns is None:
             self.stream.add_hop(pid, hop, node, x, y)
+            return phys
+        add_pid, add_hop, add_node, add_x, add_y = columns
+        add_pid(pid)
+        add_hop(hop)
+        add_node(node)
+        add_x(x)
+        add_y(y)
+        return phys
 
     def _record(self, pid: int, outcome: str, time: float) -> None:
         prior = self.terminals.get(pid)

@@ -84,28 +84,42 @@ class TrafficFold:
     def add_hop(
         self, pid: int, hop: int, node: NodeId, x: float, y: float
     ) -> None:
-        state = self._geo.get(pid)
-        if state is None:
-            if hop != 0:
+        """Fold one hop-log entry (see :meth:`add_hops`)."""
+        self.add_hops(((pid, hop, node, x, y),))
+
+    def add_hops(
+        self, entries: Iterable[Tuple[int, int, NodeId, float, float]]
+    ) -> None:
+        """Fold ``(pid, hop, node, x, y)`` hop-log entries in one loop.
+
+        A packet's entries must come in hop order, starting at hop 0;
+        anything else raises :class:`ValueError`.
+        """
+        geo = self._geo
+        hypot = math.hypot
+        for pid, hop, _node, x, y in entries:
+            state = geo.get(pid)
+            if state is None:
+                if hop != 0:
+                    raise ValueError(
+                        f"hop log for packet {pid} starts at hop {hop}, not 0"
+                    )
+                geo[pid] = [0, x, y, 0.0, x, y]
+                continue
+            if hop != state[0] + 1:
                 raise ValueError(
-                    f"hop log for packet {pid} starts at hop {hop}, not 0"
+                    f"hop log for packet {pid} jumps from {state[0]} to {hop}"
                 )
-            self._geo[pid] = [0, x, y, 0.0, x, y]
-            return
-        if hop != state[0] + 1:
-            raise ValueError(
-                f"hop log for packet {pid} jumps from {state[0]} to {hop}"
-            )
-        state[3] += math.hypot(x - state[1], y - state[2])
-        state[0] = hop
-        state[1] = x
-        state[2] = y
+            state[3] += hypot(x - state[1], y - state[2])
+            state[0] = hop
+            state[1] = x
+            state[2] = y
 
     def add_entry(self, entry: tuple) -> None:
         """Fold one replayed stream entry (``("h", ...)`` / ``("t", ...)``)."""
         tag = entry[0]
         if tag == "h":
-            self.add_hop(*entry[1:])
+            self.add_hops((entry[1:],))
         elif tag == "t":
             self.add_terminal(*entry[1:])
         else:
@@ -186,8 +200,7 @@ def fold_traffic_report(
 ) -> Dict[str, object]:
     """One router's traffic report from collected plane state."""
     fold = TrafficFold(packets)
-    for pid, hop, node, x, y in hop_entries:
-        fold.add_hop(pid, hop, node, x, y)
+    fold.add_hops(hop_entries)
     for pid, (outcome, time) in terminals.items():
         fold.add_terminal(pid, outcome, time)
     return fold.finish(relay_load)

@@ -127,7 +127,7 @@ class TestParentEscalation:
             parent = state.parent_id
             if parent is None or parent == node.node_id:
                 continue
-            if not router._usable(node.node_id, parent):
+            if not router._usable(sim.network.node(node.node_id), parent):
                 continue  # parent out of radio range: perimeter case
             # Every neighbour except the parent is already visited, so
             # greedy has nowhere to go and must climb the tree.

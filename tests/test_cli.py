@@ -903,7 +903,8 @@ class TestMalformedInput:
     ):
         started = self._record_runs(monkeypatch)
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(self._runnable(command, chaos=chaos)))
+        extra = {"chaos": chaos} if chaos else {}
+        path.write_text(json.dumps(self._runnable(command, **extra)))
         code = main([command[0], str(path), *command[1:], *flags])
         out = capsys.readouterr().out
         assert code == 2
@@ -928,6 +929,43 @@ class TestMalformedInput:
         assert code == 2
         assert out.startswith("error: ")
         assert "a 'traffic' block needs a data plane" in out
+        assert out.count("\n") == 1
+        assert started == []
+
+    @pytest.mark.parametrize("command", COMMANDS, ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "key, value",
+        [("perturbation", [{"kind": "kill_head", "at": 5}]),
+         ("settle_windw", 60.0)],
+        ids=["perturbation", "settle_windw"],
+    )
+    def test_unknown_top_level_key_refused_before_running(
+        self, tmp_path, capsys, monkeypatch, command, key, value
+    ):
+        started = self._record_runs(monkeypatch)
+        data = self._runnable(command, **{key: value})
+        out = self._run(tmp_path, capsys, command, json.dumps(data))
+        assert f"unknown scenario keys ['{key}']" in out
+        assert "'perturbations'" in out and "'settle_window'" in out
+        assert started == []
+
+    @pytest.mark.parametrize("command", COMMANDS[:4], ids=lambda c: c[0])
+    @pytest.mark.parametrize(
+        "block",
+        [{"kill_rate": 0.05, "duration": 200.0}, {}],
+        ids=["campaign", "default-campaign"],
+    )
+    def test_chaos_block_refused_before_running(
+        self, tmp_path, capsys, monkeypatch, command, block
+    ):
+        started = self._record_runs(monkeypatch)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(self._runnable(command) | {"chaos": block}))
+        code = main([command[0], str(path), *command[1:]])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.startswith("error: ")
+        assert "a 'chaos' block is a chaos campaign" in out
         assert out.count("\n") == 1
         assert started == []
 
@@ -987,6 +1025,49 @@ class TestMalformedInput:
         assert code == 2
         assert out.startswith("error: ") and "manifest version 1" in out
         assert out.count("\n") == 1
+
+
+class TestUnsettledField:
+    """A field too sparse to configure ends in a verdict naming the
+    budget it ran out: exit 1, no traceback, no crashed replicate."""
+
+    #: ``examples/demo_scenario.json`` with 10 nodes and no
+    #: perturbations: the 50,000-tick configure budget runs out.
+    SCENARIO = {
+        "seed": 7,
+        "config": {"ideal_radius": 100.0, "radius_tolerance": 25.0},
+        "deployment": {"kind": "uniform", "field_radius": 280.0,
+                       "n_nodes": 10},
+        "mobile": True,
+        "settle_window": 120.0,
+        "perturbations": [],
+    }
+    VERDICT = "initial configuration did not stabilise within 50000.0 ticks"
+
+    def test_scenario_prints_the_verdict(self, tmp_path, capsys):
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(self.SCENARIO))
+        code = main(["scenario", str(path)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert self.VERDICT in out
+        assert "configured at         never" in out
+
+    def test_sweep_counts_the_replicate_unhealthy(self, tmp_path, capsys):
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(self.SCENARIO))
+        report = tmp_path / "sweep.json"
+        code = main(
+            ["sweep", str(path), "--replicates", "1", "--workers", "0",
+             "--json", str(report)]
+        )
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "0/1 healthy, 0 crashed" in out
+        assert "unstable" in out and "CRASHED" not in out
+        (replicate,) = json.loads(report.read_text())["replicates"]
+        assert replicate["configured_at"] is None
+        assert replicate["unstable"] == self.VERDICT
 
 
 class TestRefusedShardedOp:

@@ -62,6 +62,38 @@ class TestParsing:
         assert Scenario.from_dict(base_scenario(traffic=None)).traffic is None
         assert Scenario.from_dict(base_scenario()).traffic is None
 
+    @pytest.mark.parametrize(
+        "key", ["perturbation", "settle_windw", "chaos", "typo_key"]
+    )
+    def test_unknown_top_level_key_rejected(self, key):
+        message = rf"unknown scenario keys \['{key}'\]"
+        with pytest.raises(ValueError, match=message):
+            Scenario.from_dict(base_scenario(**{key: {}}))
+
+    def test_campaign_reads_its_chaos_block(self):
+        from repro.perturb.chaos import parse_campaign
+
+        scenario, chaos = parse_campaign(
+            base_scenario(chaos={"kill_rate": 0.05})
+        )
+        assert scenario == Scenario.from_dict(base_scenario())
+        assert chaos.kill_rate == 0.05
+        with pytest.raises(ValueError, match="unknown scenario keys"):
+            parse_campaign(base_scenario(chaoss={"kill_rate": 0.05}))
+
+    def test_stable_result_payload_has_no_unstable_key(self):
+        result = ScenarioResult(
+            configured_at=5.0,
+            perturbation_log=[],
+            final_violations=[],
+            final_cells=3,
+        )
+        assert "unstable" not in result.to_dict()
+        assert result.ok()
+        unsettled = ScenarioResult(None, [], [], 1, unstable="budget")
+        assert unsettled.to_dict()["unstable"] == "budget"
+        assert not unsettled.ok()
+
     def test_channel_block_typo_rejected_at_parse_time(self):
         with pytest.raises(ValueError, match="unknown channel fault keys"):
             Scenario.from_dict(base_scenario(channel={"bernouli_loss": 0.1}))
